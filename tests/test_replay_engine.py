@@ -301,6 +301,39 @@ class TestObserveMany:
             assert np.array_equal(a.leading_misses, b.leading_misses)
             assert np.array_equal(a.total_misses, b.total_misses)
 
+    @pytest.mark.parametrize(
+        "index_window, counter_bits",
+        [(512, 27), (256, 27), (1024, 5), (256, 5)],
+        ids=["2x-rob", "1x-rob", "narrow-counter", "1x-rob-narrow-counter"],
+    )
+    def test_equivalent_at_sensitivity_budgets(self, index_window, counter_bits):
+        """The reduced budgets swept by ``ext-sensitivity``.
+
+        At 1x ROB criterion 1 never fires and distances alias, so the batch
+        path's ``d += window`` must agree with ``observe``'s modulo; 5-bit
+        counters saturate within a few hundred accesses.
+        """
+        rng = np.random.default_rng(12)
+        saturated = False
+        for _ in range(10):
+            n = int(rng.integers(0, 400))
+            inst = np.cumsum(rng.integers(1, 300, size=n)).astype(np.int64)
+            miss_ways = rng.integers(0, 17, size=n).astype(np.int64)
+            bulk = MLPCounterArray(
+                index_window=index_window, counter_bits=counter_bits
+            )
+            seq = MLPCounterArray(
+                index_window=index_window, counter_bits=counter_bits
+            )
+            bulk.observe_many(inst, miss_ways)
+            for i, k in zip(inst, miss_ways):
+                seq.observe(int(i), int(k))
+            a, b = bulk.snapshot(), seq.snapshot()
+            assert np.array_equal(a.leading_misses, b.leading_misses)
+            assert np.array_equal(a.total_misses, b.total_misses)
+            saturated |= bool((a.leading_misses == bulk.counter_max).any())
+        assert saturated == (counter_bits < 27)
+
     def test_saturation_matches(self):
         bulk = MLPCounterArray(rob_sizes=[64], max_ways=1, counter_bits=2)
         seq = MLPCounterArray(rob_sizes=[64], max_ways=1, counter_bits=2)
