@@ -5,16 +5,19 @@ so performance regressions in the substrate are visible independently of
 the experiment-level benchmarks.
 
 The replay benchmarks record accesses/sec for the per-access oracle and
-the batched engines in ``extra_info``; ``BENCH_substrate.json`` at the
-repo root keeps the current baseline so future PRs have a perf
-trajectory (regenerate with
-``python benchmarks/emit_substrate_baseline.py``).
+the batched engines in ``extra_info``.  The leading-miss oracle and the
+batched Fig. 4 counters each have a ``_python`` twin that times the
+no-compiler loop, so the compiled kernels' speed-up is on record.
+``BENCH_substrate.json`` at the repo root keeps the current baseline so
+future PRs have a perf trajectory (regenerate with
+``python -m repro bench --emit substrate``).
 """
 
 import numpy as np
 import pytest
 
 from repro.atd.atd import AuxiliaryTagDirectory
+from repro.atd.mlp import MLPCounterArray
 from repro.cache import _native
 from repro.cache.replay import clear_replay_memo, prewarm_tags, vector_replay
 from repro.cache.setassoc import SetAssociativeLRU
@@ -27,9 +30,11 @@ from repro.core.perf_models import Model3, ModelInputs
 from repro.database.builder import build_phase_record
 from repro.microarch.leading import leading_miss_matrix
 from repro.power.model import PowerModel
+from repro.testing import native_trace_kernels_off
 from repro.trace.generator import PhaseTraceGenerator
 from repro.trace.reuse import cliff_profile
 from repro.trace.spec import PhaseSpec, uniform_ipc
+from repro.trace.stream import FRESH
 
 #: Replay benchmarks run at full paper scale (the default sample size).
 REPLAY_ACCESSES = ScaleConfig().sample_llc_accesses
@@ -173,11 +178,47 @@ def test_bench_atd_process(benchmark):
     assert report.miss_curve.shape == (16,)
 
 
-def test_bench_leading_miss_oracle(benchmark):
+def _kernel_stream():
     gen = PhaseTraceGenerator(ScaleConfig(sample_llc_accesses=8192))
-    trace = gen.generate(_phase(), 42)
-    matrix = benchmark(leading_miss_matrix, trace.stream)
+    return gen.generate(_phase(), 42).stream
+
+
+def test_bench_leading_miss_oracle(benchmark):
+    matrix = benchmark(leading_miss_matrix, _kernel_stream())
     assert matrix.shape == (3, 16)
+
+
+def test_bench_leading_miss_oracle_python(benchmark):
+    stream = _kernel_stream()
+    with native_trace_kernels_off():
+        matrix = benchmark(leading_miss_matrix, stream)
+    assert np.array_equal(matrix, leading_miss_matrix(stream))
+
+
+def _bench_observe_many(benchmark):
+    """The ATD's feed: the whole arrival-ordered stream in one batch."""
+    stream = _kernel_stream()
+    arrival = stream.in_arrival_order()
+    rec = stream.recency[arrival].astype(np.int64)
+    miss_ways = np.where(rec == FRESH, 16, rec - 1)
+    inst = stream.inst_index[arrival]
+
+    def run():
+        counters = MLPCounterArray()
+        counters.observe_many(inst, miss_ways)
+        return counters.snapshot().leading_misses
+
+    return benchmark(run)
+
+
+def test_bench_observe_many(benchmark):
+    assert _bench_observe_many(benchmark).shape == (3, 16)
+
+
+def test_bench_observe_many_python(benchmark):
+    with native_trace_kernels_off():
+        lm = _bench_observe_many(benchmark)
+    assert lm.shape == (3, 16)
 
 
 def test_bench_phase_record_build(benchmark):

@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.cache import _native
 from repro.config import CORE_PARAMS, CoreSize
 
 __all__ = ["MLPCounterArray", "MLPEstimate"]
@@ -104,7 +105,9 @@ class MLPCounterArray:
         self.counter_max = (1 << counter_bits) - 1
         n = len(self.rob_sizes)
         # Register file: one (counter, last LM index, last OV distance) per
-        # (c, w).  Stored as plain lists for per-access update speed.
+        # (c, w), as nested lists: :meth:`observe` updates them per access
+        # in Python, :meth:`observe_many` round-trips them through int64
+        # arrays for the compiled lane kernel.
         self._lm = [[0] * max_ways for _ in range(n)]
         self._miss = [0] * max_ways
         self._last_lm_idx = [[-1] * max_ways for _ in range(n)]
@@ -171,12 +174,14 @@ class MLPCounterArray:
     ) -> None:
         """Process a batch of predicted misses, in the given order.
 
-        Exactly equivalent to calling :meth:`observe` once per element —
-        the counters are sequential per (c, w) lane, but lanes are mutually
-        independent, so the batch is processed lane-by-lane over NumPy-
-        extracted subsequences instead of access-by-access over all lanes.
-        The prefix property keeps each lane's subsequence a simple filter:
-        allocation ``w`` sees exactly the accesses with ``miss_ways > w``.
+        Exactly equivalent to calling :meth:`observe` once per element.
+        The counters are sequential per (c, w) lane but lanes are mutually
+        independent.  With a C compiler the batch runs in the compiled
+        ``mlp_lanes`` kernel of :mod:`repro.cache._native`; otherwise (and
+        under ``REPRO_NO_NATIVE=1``) it is processed lane-by-lane in Python
+        over NumPy-extracted subsequences.  The prefix property keeps each
+        lane's subsequence a simple filter: allocation ``w`` sees exactly
+        the accesses with ``miss_ways > w``.
         """
         idx = np.asarray(inst_indices, dtype=np.int64) % self.index_window
         k = np.minimum(
@@ -193,6 +198,19 @@ class MLPCounterArray:
         )[::-1]
         for w in range(self.max_ways):
             self._miss[w] += int(tail[w + 1])
+
+        if _native.available():
+            lm = np.array(self._lm, dtype=np.int64)
+            last = np.array(self._last_lm_idx, dtype=np.int64)
+            ov = np.array(self._last_ov_dist, dtype=np.int64)
+            _native.native_mlp_lanes(
+                idx, k, self.rob_sizes, self.index_window, self.counter_max,
+                lm, last, ov,
+            )
+            self._lm = lm.tolist()
+            self._last_lm_idx = last.tolist()
+            self._last_ov_dist = ov.tolist()
+            return
 
         window = self.index_window
         counter_max = self.counter_max

@@ -1,8 +1,9 @@
 """Benchmark baseline tooling: one entry point for every ``BENCH_*.json``.
 
 The repo keeps small, stable perf baselines at its root —
-``BENCH_substrate.json`` (replay engines), ``BENCH_campaign.json``
-(end-to-end ``all --quick``), ``BENCH_decision.json`` (global reduction),
+``BENCH_substrate.json`` (replay engines and trace kernels),
+``BENCH_campaign.json`` (end-to-end ``all --quick``),
+``BENCH_decision.json`` (global reduction),
 ``BENCH_localopt.json`` (the local-decision kernel) and
 ``BENCH_simloop.json`` (the wave-batched simulator event loop).  Most are
 distilled from a pytest-benchmark run of the matching file under
@@ -133,7 +134,7 @@ def _write(path: Path, payload: Dict) -> None:
 # substrate
 # ---------------------------------------------------------------------------
 def emit_substrate() -> int:
-    """Regenerate ``BENCH_substrate.json`` (replay-engine baseline)."""
+    """Regenerate ``BENCH_substrate.json`` (replay engines, trace kernels)."""
     raw = _run_pytest_benchmark(
         "test_bench_substrate.py", env={"REPRO_BENCH_NO_PRIME": "1"}
     )
@@ -158,6 +159,16 @@ def emit_substrate() -> int:
                 oracle / mean, 2
             )
 
+    # Compiled trace kernels vs their no-compiler Python loops.
+    kernels = {}
+    for name in ("leading_miss_oracle", "observe_many"):
+        native = benches.get(f"test_bench_{name}", {}).get("mean_s")
+        python = benches.get(f"test_bench_{name}_python", {}).get("mean_s")
+        if _native.available() and native and python:
+            kernels[f"{name}_native_speedup_vs_python"] = round(
+                python / native, 2
+            )
+
     _write(
         REPO_ROOT / "BENCH_substrate.json",
         {
@@ -167,6 +178,7 @@ def emit_substrate() -> int:
                 native_kernel_available=_native.available()
             ),
             "replay_summary": summary,
+            "kernel_summary": kernels,
             "benchmarks": benches,
         },
     )

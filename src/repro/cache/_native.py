@@ -1,22 +1,31 @@
-"""Optional compiled replay kernel.
+"""Optional compiled trace kernels: LRU replay and the leading-miss lanes.
 
-The stack-distance recurrence is inherently sequential per set, which
-caps what pure NumPy can do (see :mod:`repro.cache.replay`).  This module
-holds the escape hatch: a ~30-line C kernel that walks the replay order
-once, keeping every set's stack packed in one flat ``int64`` array, built
-on demand with the system C compiler and loaded through :mod:`ctypes`.
+Three sequential recurrences over an access stream resist NumPy because
+each step depends on the previous one:
 
-The kernel is a straight transcription of
-:meth:`repro.cache.lru.LRUStack.access`, so it is bit-for-bit equivalent
-to the oracle (asserted by the differential tests).  Compilation happens
-at most once per source revision: the shared object is cached under
-``$REPRO_CACHE_DIR`` (default ``.cache/repro-db``) keyed by a hash of the
-source, and written atomically so concurrent builder workers cannot race.
+* ``replay`` — the per-set stack-distance walk behind
+  :mod:`repro.cache.replay` (a straight transcription of
+  :meth:`repro.cache.lru.LRUStack.access`);
+* ``leading_matrix`` — the dependence-aware leading-miss oracle of
+  :func:`repro.microarch.leading.leading_miss_matrix`, one state machine per
+  (ROB size, allocation) lane, walked in program order;
+* ``mlp_lanes`` — the Fig. 4 counter registers of
+  :meth:`repro.atd.mlp.MLPCounterArray.observe_many`, walked in arrival
+  order with wrapped instruction indices and saturating counters.
+
+All three live in one C translation unit, built on demand with the system
+C compiler and loaded through :mod:`ctypes`.  Each is bit-for-bit
+equivalent to its Python counterpart (asserted by the differential
+tests).  Compilation happens at most once per source revision: the shared
+object is cached under ``$REPRO_CACHE_DIR`` (default ``.cache/repro-db``)
+keyed by a hash of the source, and written atomically so concurrent
+builder workers cannot race.
 
 Everything degrades gracefully: no compiler, a failed compile, or
-``REPRO_NO_NATIVE=1`` simply make :func:`available` return ``False`` and
-the ``auto`` engine fall back to the NumPy path.  No exception escapes
-from here during normal engine resolution.
+``REPRO_NO_NATIVE=1`` simply make :func:`available` return ``False``; the
+``auto`` replay engine then falls back to the NumPy path and the two lane
+kernels to their Python loops.  No exception escapes from here during
+normal engine resolution.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import numpy as np
 
 from repro.util.nativebuild import build_shared
 
-__all__ = ["available", "native_replay"]
+__all__ = ["available", "native_leading_matrix", "native_mlp_lanes", "native_replay"]
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -62,6 +71,88 @@ void replay(const int32_t* set_index, const int64_t* tags,
         }
     }
 }
+
+/* Leading-miss oracle, one lane per (ROB size c, allocation w + 1).  An
+ * access of recency r misses at allocations below r (all of them when
+ * FRESH), so it updates the prefix w < r - 1 of each lane row.  pos and
+ * linst are scratch: the last LM's stream position and instruction index
+ * per lane, NO_LM before the first one. */
+#define NO_LM (-1000000000000000000LL)
+
+void leading_matrix(const int64_t* inst, const int64_t* recency,
+                    const int64_t* dep, int64_t n,
+                    const int64_t* robs, int32_t n_sizes, int32_t max_ways,
+                    int64_t* counts, int64_t* pos, int64_t* linst)
+{
+    for (int64_t i = 0; i < (int64_t)n_sizes * max_ways; i++) {
+        counts[i] = 0;
+        pos[i] = -1;
+        linst[i] = NO_LM;
+    }
+    for (int64_t k = 0; k < n; k++) {
+        int64_t r = recency[k];
+        int64_t miss = r == 0 ? max_ways : (r - 1 < max_ways ? r - 1 : max_ways);
+        if (miss <= 0) continue;
+        int64_t ik = inst[k];
+        int64_t dk = dep[k];
+        int64_t prod = 0;
+        if (dk >= 0) {
+            int64_t rp = recency[dk];
+            prod = rp == 0 ? max_ways : (rp - 1 < max_ways ? rp - 1 : max_ways);
+        }
+        for (int32_t c = 0; c < n_sizes; c++) {
+            int64_t rob = robs[c];
+            int64_t* cnt = counts + (int64_t)c * max_ways;
+            int64_t* p = pos + (int64_t)c * max_ways;
+            int64_t* li = linst + (int64_t)c * max_ways;
+            for (int64_t w = 0; w < miss; w++) {
+                int serialized = dk >= 0 && w < prod && dk >= p[w];
+                if (li[w] == NO_LM || ik - li[w] >= rob || serialized) {
+                    cnt[w]++;
+                    p[w] = k;
+                    li[w] = ik;
+                }
+            }
+        }
+    }
+}
+
+/* Fig. 4 counters: per (c, w) lane a saturating LM counter, the last LM's
+ * wrapped index (-1 before the first LM) and the last OV distance (-1
+ * after an LM).  idx holds indices already wrapped to [0, window) and
+ * ways the per-access miss prefix, already capped at max_ways. */
+void mlp_lanes(const int64_t* idx, const int64_t* ways, int64_t n,
+               const int64_t* robs, int32_t n_sizes, int32_t max_ways,
+               int64_t window, int64_t counter_max,
+               int64_t* lm, int64_t* last, int64_t* ov)
+{
+    for (int64_t t = 0; t < n; t++) {
+        int64_t x = idx[t];
+        int64_t kk = ways[t];
+        for (int32_t c = 0; c < n_sizes; c++) {
+            int64_t rob = robs[c];
+            int64_t* cnt = lm + (int64_t)c * max_ways;
+            int64_t* l = last + (int64_t)c * max_ways;
+            int64_t* o = ov + (int64_t)c * max_ways;
+            for (int64_t w = 0; w < kk; w++) {
+                int new_lm;
+                if (l[w] < 0) {
+                    new_lm = 1; /* first LM ever seen by this lane */
+                } else {
+                    int64_t d = x - l[w];
+                    if (d < 0) d += window; /* modular forward distance */
+                    new_lm = d >= rob || (o[w] >= 0 && d < o[w]);
+                    if (!new_lm) o[w] = d;
+                }
+                if (new_lm) {
+                    if (cnt[w] < counter_max) cnt[w]++;
+                    l[w] = x;
+                    o[w] = -1;
+                }
+            }
+        }
+    }
+}
 """
 
 _lib: Optional[ctypes.CDLL] = None
@@ -77,7 +168,7 @@ def _cache_dir() -> Path:
 
 
 def _compile() -> Optional[Path]:
-    return build_shared(_SOURCE, _cache_dir(), "replay", (("-O3",),))
+    return build_shared(_SOURCE, _cache_dir(), "trace", (("-O3",),))
 
 
 def _load() -> Optional[ctypes.CDLL]:
@@ -104,6 +195,33 @@ def _load() -> Optional[ctypes.CDLL]:
             ctypes.c_void_p,  # lens (int32*)
             ctypes.c_void_p,  # rec (int16*)
         ]
+        lib.leading_matrix.restype = None
+        lib.leading_matrix.argtypes = [
+            ctypes.c_void_p,  # inst (int64*)
+            ctypes.c_void_p,  # recency (int64*)
+            ctypes.c_void_p,  # dep (int64*)
+            ctypes.c_int64,  # n
+            ctypes.c_void_p,  # robs (int64*)
+            ctypes.c_int32,  # n_sizes
+            ctypes.c_int32,  # max_ways
+            ctypes.c_void_p,  # counts (int64*)
+            ctypes.c_void_p,  # pos (int64*)
+            ctypes.c_void_p,  # linst (int64*)
+        ]
+        lib.mlp_lanes.restype = None
+        lib.mlp_lanes.argtypes = [
+            ctypes.c_void_p,  # idx (int64*)
+            ctypes.c_void_p,  # ways (int64*)
+            ctypes.c_int64,  # n
+            ctypes.c_void_p,  # robs (int64*)
+            ctypes.c_int32,  # n_sizes
+            ctypes.c_int32,  # max_ways
+            ctypes.c_int64,  # window
+            ctypes.c_int64,  # counter_max
+            ctypes.c_void_p,  # lm (int64*)
+            ctypes.c_void_p,  # last (int64*)
+            ctypes.c_void_p,  # ov (int64*)
+        ]
     except OSError:
         _lib_failed = True
         return None
@@ -112,7 +230,7 @@ def _load() -> Optional[ctypes.CDLL]:
 
 
 def available() -> bool:
-    """Whether the compiled kernel can be used in this environment."""
+    """Whether the compiled kernels can be used in this environment."""
     return _load() is not None
 
 
@@ -171,3 +289,72 @@ def native_replay(
         for s in range(n_sets)
     ]
     return recency, state
+
+
+def _int64(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def native_leading_matrix(
+    inst_index: np.ndarray,
+    recency: np.ndarray,
+    dep_prev: np.ndarray,
+    rob_sizes: Sequence[int],
+    max_ways: int,
+) -> np.ndarray:
+    """Compiled body of :func:`repro.microarch.leading.leading_miss_matrix`.
+
+    Returns ``int64[len(rob_sizes), max_ways]``.  ``dep_prev`` must point
+    strictly backwards or be -1, as :class:`AccessStream` guarantees.
+    """
+    lib = _load()
+    if lib is None:
+        raise RuntimeError("native trace kernels unavailable")
+    n_sizes = len(rob_sizes)
+    counts = np.empty((n_sizes, max_ways), dtype=np.int64)
+    pos = np.empty_like(counts)
+    linst = np.empty_like(counts)
+    inst = _int64(inst_index)
+    rec = _int64(recency)
+    dep = _int64(dep_prev)
+    robs = _int64(rob_sizes)
+    lib.leading_matrix(
+        inst.ctypes.data, rec.ctypes.data, dep.ctypes.data, len(inst),
+        robs.ctypes.data, n_sizes, max_ways,
+        counts.ctypes.data, pos.ctypes.data, linst.ctypes.data,
+    )
+    return counts
+
+
+def native_mlp_lanes(
+    idx: np.ndarray,
+    ways: np.ndarray,
+    rob_sizes: Sequence[int],
+    window: int,
+    counter_max: int,
+    lm: np.ndarray,
+    last: np.ndarray,
+    ov: np.ndarray,
+) -> None:
+    """Compiled lane walk of :meth:`repro.atd.mlp.MLPCounterArray.observe_many`.
+
+    ``idx`` holds wrapped indices in ``[0, window)``, ``ways`` the capped
+    miss prefix (>= 1) of each access.  The ``int64[n_sizes, max_ways]``
+    register arrays ``lm``, ``last`` and ``ov`` are updated in place.
+    """
+    lib = _load()
+    if lib is None:
+        raise RuntimeError("native trace kernels unavailable")
+    for reg in (lm, last, ov):
+        if reg.dtype != np.int64 or not reg.flags.c_contiguous:
+            raise ValueError("registers must be C-contiguous int64 arrays")
+    n_sizes, max_ways = lm.shape
+    idx64 = _int64(idx)
+    ways64 = _int64(ways)
+    robs = _int64(rob_sizes)
+    lib.mlp_lanes(
+        idx64.ctypes.data, ways64.ctypes.data, len(idx64),
+        robs.ctypes.data, n_sizes, max_ways,
+        window, min(counter_max, np.iinfo(np.int64).max),
+        lm.ctypes.data, last.ctypes.data, ov.ctypes.data,
+    )

@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
+import zlib
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -21,6 +23,7 @@ import numpy as np
 from repro.config import SystemConfig
 from repro.database.records import PhaseRecord
 from repro.trace.spec import AppSpec
+from repro.util.diskcache import quarantine_entry
 
 __all__ = [
     "cache_dir",
@@ -142,7 +145,12 @@ def save_database_cache(db, suite: Sequence[AppSpec], seed: int) -> Optional[Pat
 def load_cached_database(
     suite: Sequence[AppSpec], system: SystemConfig, seed: int
 ):
-    """Load a cached database if present; None on any miss or error."""
+    """Load a cached database if present; None on any miss or error.
+
+    A damaged file (truncated, not a zip, bad CRC or missing fields) is
+    moved to ``<cache>/quarantine/`` so the caller's rebuild replaces it
+    and the damage is never re-read.
+    """
     if os.environ.get(_ENV_DISABLE):
         return None
     from repro.database.builder import SimDatabase
@@ -176,5 +184,14 @@ def load_cached_database(
                     )
                 db.records[app] = records
             return db
-    except (OSError, KeyError, ValueError, json.JSONDecodeError):
+    except (
+        zipfile.BadZipFile,
+        zlib.error,
+        EOFError,
+        KeyError,
+        ValueError,  # includes json.JSONDecodeError
+    ):
+        quarantine_entry(file, cache_dir())
+        return None
+    except OSError:
         return None

@@ -15,6 +15,12 @@ tries to estimate.  A miss is overlapping iff
 Unlike the ATD heuristic, the oracle walks the stream in **program order**
 with the generator's true dependence links and unwrapped instruction
 indices.
+
+:func:`leading_miss_matrix` runs that walk in the compiled
+``leading_matrix`` kernel of :mod:`repro.cache._native` when a C compiler
+is available; its Python loop is the no-compiler path (also taken under
+``REPRO_NO_NATIVE=1``) and gives bit-identical counts.
+:func:`count_leading_misses` stays the per-pair reference oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.cache import _native
 from repro.config import CORE_PARAMS, CoreSize
 from repro.trace.stream import FRESH, AccessStream
 
@@ -75,6 +82,11 @@ def leading_miss_matrix(
     n_sizes = len(rob_sizes)
     if n_sizes == 0 or any(r < 1 for r in rob_sizes):
         raise ValueError("rob_sizes must be positive")
+    if _native.available():
+        return _native.native_leading_matrix(
+            stream.inst_index, stream.recency, stream.dep_prev,
+            rob_sizes, max_ways,
+        )
 
     inst = stream.inst_index
     recency = stream.recency

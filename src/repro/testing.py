@@ -10,14 +10,16 @@ collection failure this module fixes.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 from repro.config import ScaleConfig
 from repro.trace.reuse import cliff_profile, small_ws_profile, streaming_profile
 from repro.trace.spec import AppSpec, PhaseSpec, uniform_ipc
 
 __all__ = [
+    "native_trace_kernels_off",
     "small_scale",
     "make_phase",
     "mini_suite",
@@ -124,3 +126,24 @@ def write_entry_many(root, fingerprint: str, text: str, n: int) -> None:
     path = Path(root) / f"{fingerprint}.json"
     for _ in range(n):
         atomic_write_text(path, text)
+
+
+@contextmanager
+def native_trace_kernels_off() -> Iterator[None]:
+    """Run the trace-kernel entry points on their no-compiler paths.
+
+    Inside the block :func:`repro.cache._native.available` is ``False``, so
+    ``leading_miss_matrix`` and ``MLPCounterArray.observe_many`` take their
+    Python loops and the ``auto`` replay engine the NumPy path, exactly
+    as under ``REPRO_NO_NATIVE=1``.  The differential tests and the
+    fallback benchmarks use it to time and compare both paths in one
+    process.
+    """
+    from repro.cache import _native
+
+    saved = _native._lib, _native._lib_failed
+    _native._lib, _native._lib_failed = None, True
+    try:
+        yield
+    finally:
+        _native._lib, _native._lib_failed = saved

@@ -3,11 +3,14 @@ example) and the full directory."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.atd.atd import AuxiliaryTagDirectory
 from repro.atd.mlp import DEFAULT_INDEX_WINDOW, MLPCounterArray
 from repro.atd.monitor import RecencyMonitor
+from repro.cache import _native
 from repro.microarch.leading import leading_miss_matrix
+from repro.testing import native_trace_kernels_off
 from repro.trace.stream import FRESH
 
 
@@ -139,6 +142,93 @@ class TestMLPCounterArray:
             c.observe(inst, 1)
         # every distance aliases below the ROB -> one giant overlap group
         assert c.snapshot().leading_misses[0, 0] <= 2
+
+
+@st.composite
+def counter_sessions(draw):
+    """A counter configuration and a stream of predicted misses, cut into
+    segments that go either to ``observe_many`` or access by access to
+    ``observe``.
+
+    Windows run from the aliasing 1x-ROB field up to 4x; narrow counters
+    saturate; miss prefixes include 0 (skipped) and values beyond
+    ``max_ways`` (capped).
+    """
+    robs = draw(st.lists(st.integers(1, 256), min_size=1, max_size=3))
+    window = max(robs) * draw(st.sampled_from([1, 2, 4])) + draw(
+        st.integers(0, 7)
+    )
+    bits = draw(st.sampled_from([1, 2, 3, 5, 27]))
+    max_ways = draw(st.sampled_from([1, 3, 16]))
+    n = draw(st.integers(0, 150))
+    gaps = draw(st.lists(st.integers(1, 2 * window), min_size=n, max_size=n))
+    inst = np.cumsum(gaps, dtype=np.int64)
+    ways = np.array(
+        draw(st.lists(st.integers(-1, max_ways + 3), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
+    bounds = [0, *cuts, n]
+    segments = [
+        (lo, hi, draw(st.booleans())) for lo, hi in zip(bounds, bounds[1:])
+    ]
+    config = dict(
+        rob_sizes=robs, max_ways=max_ways, index_window=window,
+        counter_bits=bits,
+    )
+    return config, inst, ways, segments
+
+
+def _run_session(config, inst, ways, segments) -> MLPCounterArray:
+    counters = MLPCounterArray(**config)
+    for lo, hi, batched in segments:
+        if batched:
+            counters.observe_many(inst[lo:hi], ways[lo:hi])
+        else:
+            for i, k in zip(inst[lo:hi], ways[lo:hi]):
+                counters.observe(int(i), int(k))
+    return counters
+
+
+def _registers(counters: MLPCounterArray):
+    return (
+        counters._lm,
+        counters._miss,
+        counters._last_lm_idx,
+        counters._last_ov_dist,
+    )
+
+
+@pytest.mark.skipif(not _native.available(), reason="no C compiler")
+class TestObserveManyKernel:
+    """The compiled lane kernel against the Python loop, bit for bit,
+    with batches split at random points and interleaved with per-access
+    ``observe`` calls (the registers carry across calls)."""
+
+    @given(session=counter_sessions())
+    @settings(max_examples=150, deadline=None)
+    def test_native_matches_python_loop(self, session):
+        native = _run_session(*session)
+        with native_trace_kernels_off():
+            python = _run_session(*session)
+        assert _registers(native) == _registers(python)
+        config, inst, ways, _ = session
+        reference = _run_session(config, inst, ways, [(0, len(inst), False)])
+        assert _registers(native) == _registers(reference)
+        assert all(
+            v <= native.counter_max for row in native._lm for v in row
+        )
+
+    def test_saturates_at_counter_max(self):
+        inst = np.arange(50, dtype=np.int64) * 1000
+        ways = np.ones(50, dtype=np.int64)
+        native = MLPCounterArray(rob_sizes=[64], max_ways=1, counter_bits=3)
+        native.observe_many(inst, ways)
+        with native_trace_kernels_off():
+            python = MLPCounterArray(rob_sizes=[64], max_ways=1, counter_bits=3)
+            python.observe_many(inst, ways)
+        assert native._lm == python._lm == [[7]]
+        assert _registers(native) == _registers(python)
 
 
 class TestAuxiliaryTagDirectory:

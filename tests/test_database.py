@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.cache import _native
+from repro.cache.replay import clear_replay_memo
 from repro.config import CoreSize, Setting
 from repro.database.builder import (
     SimDatabase,
@@ -185,3 +187,43 @@ class TestStore:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         assert save_database_cache(mini_db, mini_suite(), 7) is None
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda b: b[: len(b) // 2], id="truncated"),
+            pytest.param(lambda b: b"", id="empty"),
+            pytest.param(lambda b: b"not a zip file" * 64, id="garbage"),
+        ],
+    )
+    def test_corrupt_file_is_quarantined_and_rebuilt(
+        self, mini_db, system2, tmp_path, monkeypatch, damage
+    ):
+        """A damaged cache file is a miss, not a wedge: the build
+        quarantines it, rebuilds and re-caches a loadable file."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        path = save_database_cache(mini_db, mini_suite(), 7)
+        path.write_bytes(damage(path.read_bytes()))
+
+        rebuilt = build_database(mini_suite(), system2, seed=7)
+        assert rebuilt.content_fingerprint == mini_db.content_fingerprint
+        assert (tmp_path / "quarantine" / path.name).exists()
+        reloaded = load_cached_database(mini_suite(), system2, 7)
+        assert reloaded is not None
+        assert reloaded.content_fingerprint == mini_db.content_fingerprint
+
+
+@pytest.mark.skipif(not _native.available(), reason="no C compiler")
+def test_no_native_build_has_same_content_fingerprint(
+    system2, mini_db, monkeypatch
+):
+    """The compiled trace kernels and the REPRO_NO_NATIVE Python loops
+    build the same database, bit for bit."""
+    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native, "_lib_failed", False)
+    clear_replay_memo()
+    fallback = build_database(mini_suite(), system2, seed=7, use_cache=False)
+    assert not _native.available()
+    assert fallback.content_fingerprint == mini_db.content_fingerprint

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache import _native
 from repro.config import CoreSize, default_system
 from repro.microarch.interval_model import (
     IntervalModel,
@@ -11,6 +12,7 @@ from repro.microarch.interval_model import (
     solve_contention_time,
 )
 from repro.microarch.leading import count_leading_misses, leading_miss_matrix
+from repro.testing import native_trace_kernels_off
 from repro.trace.stream import AccessStream
 
 
@@ -109,6 +111,50 @@ class TestLeadingMisses:
         lm_big = count_leading_misses(s, rob_small * 4, 8)
         assert lm_big <= lm_small
         assert 1 <= lm_big <= len(inst)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random program-ordered stream plus an oracle configuration.
+
+    Recencies span FRESH, hits and values beyond ``max_ways``; each access
+    depends on a random earlier one or on nothing (-1); ROB sizes go down
+    to 1 and ``max_ways`` is not always 16.
+    """
+    max_ways = draw(st.sampled_from([1, 3, 8, 16, 20]))
+    n = draw(st.integers(0, 80))
+    gaps = draw(st.lists(st.integers(1, 300), min_size=n, max_size=n))
+    start = draw(st.integers(0, 10**6))
+    recency = draw(
+        st.lists(st.integers(0, max_ways + 4), min_size=n, max_size=n)
+    )
+    dep = [draw(st.integers(-1, k - 1)) for k in range(n)]
+    robs = draw(st.lists(st.integers(1, 400), min_size=1, max_size=4))
+    stream = make_stream(start + np.cumsum(gaps, dtype=np.int64), recency, dep)
+    return stream, robs, max_ways
+
+
+@pytest.mark.skipif(not _native.available(), reason="no C compiler")
+class TestLeadingMatrixKernel:
+    """The compiled oracle against the Python loop, bit for bit."""
+
+    @given(case=oracle_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_native_matches_python_loop(self, case):
+        stream, robs, max_ways = case
+        native = leading_miss_matrix(stream, robs, max_ways)
+        with native_trace_kernels_off():
+            python = leading_miss_matrix(stream, robs, max_ways)
+        assert native.dtype == python.dtype == np.int64
+        assert native.shape == python.shape == (len(robs), max_ways)
+        assert np.array_equal(native, python)
+
+    def test_native_matches_python_loop_on_traces(self, cs_trace, chain_trace):
+        for trace in (cs_trace, chain_trace):
+            native = leading_miss_matrix(trace.stream)
+            with native_trace_kernels_off():
+                python = leading_miss_matrix(trace.stream)
+            assert np.array_equal(native, python)
 
 
 class TestContention:
