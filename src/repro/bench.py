@@ -15,8 +15,7 @@ this module is the single implementation behind
     python -m repro bench --emit all             # regenerate every one
     python -m repro bench --check localopt       # CI smoke: no regression
 
-(the ``benchmarks/emit_*_baseline.py`` scripts are thin wrappers kept
-for muscle memory).  Every emitted JSON carries an ``environment`` block
+Every emitted JSON carries an ``environment`` block
 — python/machine/cpu plus the *git commit* and the decision-kernel knobs
 (``reduction``, ``local_mode``) in effect — so a BENCH trajectory across
 PRs is attributable to the code that produced it.
@@ -151,13 +150,10 @@ def emit_substrate() -> int:
         benches[entry["name"]] = record
 
     oracle = benches.get("test_bench_replay_oracle", {}).get("mean_s")
+    native = benches.get("test_bench_replay_native", {}).get("mean_s")
     summary = {}
-    for engine in ("vector", "native"):
-        mean = benches.get(f"test_bench_replay_{engine}", {}).get("mean_s")
-        if oracle and mean:
-            summary[f"replay_{engine}_speedup_vs_oracle"] = round(
-                oracle / mean, 2
-            )
+    if oracle and native:
+        summary["replay_native_speedup_vs_oracle"] = round(oracle / native, 2)
 
     # Compiled trace kernels vs their no-compiler Python loops.
     kernels = {}
@@ -640,6 +636,7 @@ def emit_simloop() -> int:
     rounds keep it honest on machines with frequency drift.
     """
     from repro.core import _native_opt
+    from repro.simulator.rmsim import WAVE_MODES
 
     per_cores: Dict[str, Dict] = {}
     for n in SIMLOOP_CORE_COUNTS:
@@ -673,7 +670,7 @@ def emit_simloop() -> int:
         f"{SIMLOOP_BATCH_WIDTH} same-shape native runs through one "
         "shared native loop)",
         "environment": environment_block(
-            wave_modes=["scalar", "step", "epsilon", "native"],
+            wave_modes=list(WAVE_MODES),
             reduction="incremental",
             local_mode="memoized",
             native_combine_available=_native_opt.available(),

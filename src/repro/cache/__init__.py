@@ -1,4 +1,4 @@
-"""Cache substrate: LRU stacks, the batched stack-distance replay engine,
+"""Cache substrate: LRU stacks, the stack-distance replay engines,
 way-partitioned set-associative LLC model, partition bitmask bookkeeping
 and the private-hierarchy stall model."""
 
@@ -7,7 +7,6 @@ from repro.cache.replay import (
     clear_replay_memo,
     replay_access_stream,
     resolve_engine,
-    vector_replay,
 )
 from repro.cache.setassoc import SetAssociativeLRU, prewarm_tags
 from repro.cache.partition import WayPartition, allocation_to_masks
@@ -17,7 +16,6 @@ __all__ = [
     "LRUStack",
     "SetAssociativeLRU",
     "prewarm_tags",
-    "vector_replay",
     "replay_access_stream",
     "resolve_engine",
     "clear_replay_memo",

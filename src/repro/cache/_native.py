@@ -23,8 +23,8 @@ builder workers cannot race.
 
 Everything degrades gracefully: no compiler, a failed compile, or
 ``REPRO_NO_NATIVE=1`` simply make :func:`available` return ``False``; the
-``auto`` replay engine then falls back to the NumPy path and the two lane
-kernels to their Python loops.  No exception escapes from here during
+``auto`` replay engine then falls back to the ``LRUStack`` oracle and the
+two lane kernels to their Python loops.  No exception escapes from here during
 normal engine resolution.
 """
 
@@ -244,7 +244,7 @@ def native_replay(
     initial: Optional[List[List[int]]] = None,
     want_state: bool = False,
 ) -> Tuple[np.ndarray, Optional[List[List[int]]]]:
-    """Drop-in equivalent of :func:`repro.cache.replay.vector_replay`."""
+    """Drop-in equivalent of :func:`repro.cache.replay.oracle_replay`."""
     lib = _load()
     if lib is None:
         raise RuntimeError("native replay kernel unavailable")

@@ -1,45 +1,25 @@
-"""Batched stack-distance replay engine.
+"""Stack-distance replay engines.
 
 Replaying an access stream through per-set LRU stacks is the substrate of
 the whole reproduction: the main tag directory, the per-core ATD and every
-database build funnel through it.  The reference implementation
-(:class:`~repro.cache.lru.LRUStack` driven one access at a time) costs a
-Python ``list.index`` + ``insert`` per access; this module computes the
-identical recency array for a whole stream in one pass, via one of two
-interchangeable engines:
-
-``vector``
-    Pure NumPy.  A depth-``D`` LRU stack is, at every point in time,
-    exactly the top-``D`` prefix of the *infinite* LRU stack over the same
-    access sequence (insertion happens at MRU and eviction only trims the
-    tail), so the recency of an access is its classic stack distance when
-    that is at most ``D`` and :data:`~repro.trace.stream.FRESH` otherwise.
-    For an access at within-set position ``j`` whose previous same-tag
-    access sits at within-set position ``p``, the stack distance is one
-    plus the number of *distinct* tags touched in the window ``(p, j)``.
-    With ``prev[i]`` the within-set previous-occurrence position of access
-    ``i`` (``-1`` for a first touch)::
-
-        distance(j) = (j - p) - #{ i < j : prev[i] > prev[j] }
-
-    (every window position whose own previous occurrence also falls inside
-    the window is a repeat; the strict inequality works because within one
-    set all ``prev`` values other than ``-1`` are distinct).  The
-    subtracted term is a per-element inversion count, evaluated with a
-    bottom-up merge sweep — ``log2`` levels of radix sort + batched
-    ``searchsorted`` over flat arrays, restricted to repeat accesses and
-    padded per set to a power-of-two stride so no merge block ever spans
-    two sets.  ``O(n log n)``, no Python-level per-access work.
+database build funnel through it.  Two interchangeable engines compute the
+recency array of a whole stream:
 
 ``native``
     A ~30-line C kernel (the per-set stacks packed into one flat int64
     array) compiled on demand with the system C compiler and loaded via
     ``ctypes`` — see :mod:`repro.cache._native`.  20-30x faster than the
-    Python oracle; silently unavailable when no compiler exists, in which
-    case ``auto`` resolves to ``vector``.
+    Python oracle; silently unavailable when no compiler exists (or under
+    ``REPRO_NO_NATIVE=1``), in which case ``auto`` resolves to ``oracle``.
 
-Both engines are bit-for-bit equivalent to the :class:`LRUStack` oracle —
-including the final stack state — which the differential tests in
+``oracle``
+    The reference: one :meth:`~repro.cache.lru.LRUStack.access` per access
+    (:func:`oracle_replay`).  It is both the no-compiler fallback and the
+    path ``SetAssociativeLRU(engine="oracle")`` pins for differential
+    testing.
+
+The native engine is bit-for-bit equivalent to the oracle — including the
+final stack state — which the differential tests in
 ``tests/test_replay_engine.py`` assert over random streams, replay orders,
 depths and warm-up states.
 
@@ -50,29 +30,25 @@ interval) share a single replay instead of recomputing it.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cache.lru import LRUStack
 from repro.trace.stream import FRESH, AccessStream
 
 __all__ = [
+    "oracle_replay",
     "prewarm_tags",
     "replay_access_stream",
     "replay_pristine",
     "resolve_engine",
-    "vector_replay",
     "clear_replay_memo",
 ]
 
 #: Per-set stack state: tag lists, most-recently-used first.
 SetState = List[List[int]]
-
-#: Environment override for the default engine ("auto", "native",
-#: "vector" or "oracle" — the last is honoured by SetAssociativeLRU).
-ENGINE_ENV = "REPRO_REPLAY_ENGINE"
 
 
 def prewarm_tags(set_index: int, depth: int) -> List[int]:
@@ -88,72 +64,26 @@ def prewarm_tags(set_index: int, depth: int) -> List[int]:
 def resolve_engine(engine: Optional[str] = None) -> str:
     """Resolve an engine request to a concrete engine name.
 
-    ``None`` falls back to the :data:`ENGINE_ENV` environment variable and
-    then to ``"auto"``; ``"auto"`` picks ``native`` when the compiled
-    kernel is available and ``vector`` otherwise.
+    ``None`` means ``"auto"``, which picks ``native`` when the compiled
+    kernel is available and ``oracle`` otherwise.
     """
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV) or "auto"
-    if engine == "auto":
+    if engine is None or engine == "auto":
         from repro.cache import _native
 
-        return "native" if _native.available() else "vector"
-    if engine not in ("native", "vector", "oracle"):
+        return "native" if _native.available() else "oracle"
+    if engine not in ("native", "oracle"):
         raise ValueError(
-            f"unknown replay engine {engine!r}; "
-            "options: auto, native, vector, oracle"
+            f"unknown replay engine {engine!r}; options: auto, native, oracle"
         )
     return engine
 
 
 # ---------------------------------------------------------------------------
-# The pure-NumPy engine
+# The reference engine
 # ---------------------------------------------------------------------------
 
 
-def _repeat_inversions(
-    flatpos: np.ndarray, vals: np.ndarray, m_pad: int, off: int
-) -> np.ndarray:
-    """Per-element inversion counts over the repeat accesses.
-
-    ``flatpos`` places each repeat in a padded per-set layout of stride
-    ``m_pad`` (a power of two, so merge blocks never span sets); ``vals``
-    are the within-set previous-occurrence positions, all ``>= 0`` and
-    distinct within a set.  Returns, aligned with the inputs, the number
-    of earlier same-set repeats with a strictly greater value.
-    """
-    n = len(flatpos)
-    inv = np.zeros(n, dtype=np.int64)
-    if m_pad <= 1 or n == 0:
-        return inv
-    # Composite per-level sort keys must not overflow.
-    use32 = int(flatpos[-1] + 1) * off < 2**31 if n else True
-    dt = np.int32 if use32 else np.int64
-    fp = flatpos.astype(dt)
-    vv = vals.astype(dt)
-    off = dt(off)
-    shift, block = 0, 1
-    while block < m_pad:
-        bid = fp >> shift
-        comp = bid * off + vv
-        comp_sorted = np.sort(comp, kind="stable")  # radix sort for ints
-        qi = np.nonzero(bid & 1)[0]  # elements in right-half blocks
-        if len(qi):
-            left = bid[qi] - 1
-            # per query: elements in the left sibling block that are
-            # <= my value, and the block's total population
-            keys = left * off + vv[qi]
-            ends = left * off + (off - 1)
-            found = np.searchsorted(
-                comp_sorted, np.concatenate([keys, ends]), side="right"
-            )
-            inv[qi] += found[len(qi) :] - found[: len(qi)]
-        shift += 1
-        block <<= 1
-    return inv
-
-
-def vector_replay(
+def oracle_replay(
     set_index: np.ndarray,
     tag: np.ndarray,
     *,
@@ -163,7 +93,7 @@ def vector_replay(
     initial: Optional[SetState] = None,
     want_state: bool = False,
 ) -> Tuple[np.ndarray, Optional[SetState]]:
-    """Recency of every access, computed in one NumPy pass.
+    """Recency of every access, one :meth:`LRUStack.access` at a time.
 
     Parameters
     ----------
@@ -194,120 +124,28 @@ def vector_replay(
         raise ValueError("depth must be >= 1")
     if n_sets < 1:
         raise ValueError("n_sets must be >= 1")
-    set_index = np.asarray(set_index)
-    tag = np.asarray(tag, dtype=np.int64)
+    if initial is not None and len(initial) != n_sets:
+        raise ValueError("initial must hold one contents list per set")
     n = len(set_index)
-
     if order is None:
-        s_seq, t_seq = set_index, tag
+        positions: Sequence[int] = range(n)
     else:
-        order = np.asarray(order, dtype=np.int64)
-        if len(order) != n:
+        positions = np.asarray(order, dtype=np.int64).tolist()
+        if len(positions) != n:
             raise ValueError("order length mismatch")
-        s_seq, t_seq = set_index[order], tag[order]
-
-    # Prepend the initial stack contents as pseudo-accesses, LRU first, so
-    # after the prefix every stack holds exactly its initial state.
-    if initial is not None:
-        if len(initial) != n_sets:
-            raise ValueError("initial must hold one contents list per set")
-        warm_sets = np.repeat(
-            np.arange(n_sets, dtype=np.int64), [len(c) for c in initial]
-        )
-        warm_tags = np.array(
-            [t for c in initial for t in reversed(c)], dtype=np.int64
-        )
-    else:
-        warm_sets = np.empty(0, dtype=np.int64)
-        warm_tags = np.empty(0, dtype=np.int64)
-    n_warm = len(warm_tags)
-
-    S = np.concatenate([warm_sets, np.asarray(s_seq, dtype=np.int64)])
-    T = np.concatenate([warm_tags, t_seq])
-    total = len(S)
-    if total == 0:
-        empty = np.empty(0, dtype=np.int16)
-        return empty, ([[] for _ in range(n_sets)] if want_state else None)
-
-    # --- within-set replay positions -------------------------------------
-    by_set = np.argsort(S.astype(np.int32), kind="stable")
-    counts = np.bincount(S, minlength=n_sets)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    j_of = np.empty(total, dtype=np.int64)
-    j_of[by_set] = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-
-    # --- previous occurrence of the same (set, tag) ----------------------
-    t_min = int(T.min())
-    t_range = int(T.max()) - t_min + 1
-    max_key = n_sets * t_range  # python int: no wraparound in the check
-    if max_key < 2**63:
-        key = S * t_range + (T - t_min)
-        if max_key < 2**31:
-            key = key.astype(np.int32)
-        occ = np.argsort(key, kind="stable")
-        same = key[occ][1:] == key[occ][:-1]
-    else:
-        # Huge tag ranges (e.g. raw physical addresses) would overflow the
-        # composite key; pair-sort instead (stable, slightly slower).
-        occ = np.lexsort((T, S))
-        s_occ, t_occ = S[occ], T[occ]
-        same = (s_occ[1:] == s_occ[:-1]) & (t_occ[1:] == t_occ[:-1])
-    prev_global = np.full(total, -1, dtype=np.int64)
-    prev_global[occ[1:]] = np.where(same, occ[:-1], -1)
-    prev_j = np.where(prev_global >= 0, j_of[np.maximum(prev_global, 0)], -1)
-
-    # --- inversion counts over repeats only ------------------------------
-    # First occurrences never dominate anything (prev = -1), so compress
-    # each set's sequence to its repeats, preserving order.
-    inv = np.zeros(total, dtype=np.int64)
-    rep_pos = by_set[(prev_global >= 0)[by_set]]  # set-grouped, in order
-    if len(rep_pos):
-        row = S[rep_pos]
-        rep_counts = np.bincount(row, minlength=n_sets)
-        max_rep = int(rep_counts.max())
-        m_pad = 1 if max_rep <= 1 else 1 << (max_rep - 1).bit_length()
-        if m_pad > 1:
-            rep_starts = np.concatenate([[0], np.cumsum(rep_counts)[:-1]])
-            compressed = np.arange(len(rep_pos)) - np.repeat(
-                rep_starts, rep_counts
-            )
-            inv[rep_pos] = _repeat_inversions(
-                row * m_pad + compressed,
-                prev_j[rep_pos],
-                m_pad,
-                int(counts.max()) + 2,
-            )
-
-    # --- stack distance -> truncated recency -----------------------------
-    dist = j_of - prev_j - inv
-    rec_all = np.where((prev_global >= 0) & (dist <= depth), dist, FRESH)
-    rec = rec_all[n_warm:].astype(np.int16)
-
-    if order is None:
-        recency = rec
-    else:
-        recency = np.empty(n, dtype=np.int16)
-        recency[order] = rec
-
+    stacks = [
+        LRUStack(depth, None if initial is None else initial[s])
+        for s in range(n_sets)
+    ]
+    sets = np.asarray(set_index).tolist()
+    tags = np.asarray(tag, dtype=np.int64).tolist()
+    rec = [FRESH] * n
+    for k in positions:
+        rec[k] = stacks[sets[k]].access(tags[k])
+    recency = np.array(rec, dtype=np.int16)
     if not want_state:
         return recency, None
-
-    # Final contents: the last-touch position of every distinct (set, tag),
-    # newest first, truncated to ``depth`` per set.
-    is_last = np.concatenate([~same, [True]])
-    last_pos = occ[is_last]
-    by_recency = np.lexsort((-last_pos, S[last_pos]))
-    ordered_pos = last_pos[by_recency]
-    ordered_set = S[ordered_pos]
-    cnt = np.bincount(ordered_set, minlength=n_sets)
-    rank = np.arange(len(ordered_pos)) - np.repeat(
-        np.concatenate([[0], np.cumsum(cnt)[:-1]]), cnt
-    )
-    keep = rank < depth
-    kept_tags = T[ordered_pos[keep]]
-    bounds = np.cumsum(np.bincount(ordered_set[keep], minlength=n_sets))
-    state = [part.tolist() for part in np.split(kept_tags, bounds[:-1])]
-    return recency, state
+    return recency, [s.contents() for s in stacks]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +178,7 @@ def replay_access_stream(
             initial=initial,
             want_state=want_state,
         )
-    return vector_replay(
+    return oracle_replay(
         set_index,
         tag,
         n_sets=n_sets,

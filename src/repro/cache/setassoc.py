@@ -10,13 +10,13 @@ It serves two roles:
 * as the tag-array core of the **ATD** (``repro.atd``), which replays the
   same stream in arrival order.
 
-Replays run on one of the interchangeable engines of
-:mod:`repro.cache.replay` (default ``auto``: the compiled kernel when a C
-compiler is available, NumPy otherwise); ``engine="oracle"`` keeps the
-original per-access :class:`~repro.cache.lru.LRUStack` loop as the
-reference path.  All engines are bit-for-bit equivalent, including the
-directory state left behind after a replay, so engines can be switched
-mid-stream and results compared exactly.
+Replays run on one of the two engines of :mod:`repro.cache.replay`
+(default ``auto``: the compiled kernel when a C compiler is available, the
+per-access :class:`~repro.cache.lru.LRUStack` loop otherwise);
+``engine="oracle"`` pins that reference loop and bypasses the replay memo.
+Both engines are bit-for-bit equivalent, including the directory state
+left behind after a replay, so engines can be switched mid-stream and
+results compared exactly.
 
 :func:`prewarm_tags` reproduces the deterministic warm-up contents the
 trace generator installs, standing in for the paper's 100M-instruction
@@ -57,10 +57,8 @@ class SetAssociativeLRU:
         Install the generator's warm-up contents (default True).  Without
         warm-up, early deep-recency accesses degrade to compulsory misses.
     engine:
-        Replay engine: ``"auto"`` (default, also via the
-        ``REPRO_REPLAY_ENGINE`` environment variable), ``"native"``,
-        ``"vector"``, or ``"oracle"`` for the reference per-access
-        :class:`LRUStack` loop.
+        Replay engine: ``"auto"`` (default), ``"native"``, or
+        ``"oracle"`` for the reference per-access :class:`LRUStack` loop.
     """
 
     def __init__(
@@ -128,15 +126,10 @@ class SetAssociativeLRU:
         else:
             order_key, order_arr = None, order
 
-        def resolve_order():
-            if order_key == "arrival" and order_arr is None:
-                return stream.in_arrival_order()
-            return order_arr
-
-        if self.engine == "oracle":
-            return self._replay_oracle(stream, resolve_order())
-
-        if self._pristine and order_key is not None:
+        # The oracle always recomputes, so it stays an independent
+        # reference for the memoized native path.
+        memo = self._pristine and self.engine != "oracle"
+        if memo and order_key is not None:
             recency, state = replay_pristine(
                 stream,
                 n_sets=self.n_sets,
@@ -151,7 +144,11 @@ class SetAssociativeLRU:
                 stream.tag,
                 n_sets=self.n_sets,
                 depth=self.depth,
-                order=resolve_order(),
+                order=(
+                    stream.in_arrival_order()
+                    if order_key == "arrival"
+                    else order_arr
+                ),
                 initial=self.contents(),
                 want_state=True,
                 engine=self.engine,
@@ -160,21 +157,6 @@ class SetAssociativeLRU:
         # replays continue exactly where this stream left off.
         self._sets = [LRUStack(self.depth, c) for c in state]
         self._pristine = False
-        return recency
-
-    def _replay_oracle(
-        self, stream: AccessStream, order: Optional[Sequence[int]]
-    ) -> np.ndarray:
-        """Reference path: one :meth:`LRUStack.access` per access."""
-        self._pristine = False
-        n = stream.n_accesses
-        recency = np.empty(n, dtype=np.int16)
-        sets = self._sets
-        set_idx = stream.set_index
-        tags = stream.tag
-        positions = range(n) if order is None else order
-        for k in positions:
-            recency[k] = sets[set_idx[k]].access(int(tags[k]))
         return recency
 
     def contents(self) -> List[List[int]]:

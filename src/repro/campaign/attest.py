@@ -367,13 +367,15 @@ def _reexecution_modes(cross_mode: bool, spec: RunSpec) -> List[Optional[str]]:
 
     All modes are differentially tested bit-identical, which is exactly
     what makes them useful as *independent witnesses*: a cross-mode
-    audit re-runs the spec through the native, wave and scalar loops and
-    any disagreement with the stored bytes is a real divergence, not a
-    mode artefact.
+    audit re-runs the spec through every loop in
+    :data:`~repro.simulator.rmsim.WAVE_MODES`, and any disagreement with
+    the stored bytes is a real divergence, not a mode artefact.
     """
     if not cross_mode:
         return [spec.wave]
-    return ["native", "step", "scalar"]
+    from repro.simulator.rmsim import WAVE_MODES
+
+    return list(WAVE_MODES)
 
 
 def verify_store(

@@ -29,8 +29,9 @@ over a process pool — results are bit-identical for any worker count.
 The ``cache`` subcommand manages both on-disk stores: the result store
 named by ``REPRO_RESULT_CACHE`` (cap: ``REPRO_RESULT_CACHE_MAX_MB``) and
 the persistent local-decision memo named by ``REPRO_LOCAL_MEMO`` (cap:
-``REPRO_LOCAL_MEMO_MAX_MB``); ``bench`` consolidates the
-``benchmarks/emit_*_baseline.py`` entry points; ``campaign --status``
+``REPRO_LOCAL_MEMO_MAX_MB``); ``bench --emit NAME`` regenerates one
+``BENCH_*.json`` baseline (``bench --check NAME`` re-measures it against
+the committed file); ``campaign --status``
 reports progress, retries and failure tallies from the crash-safe run
 journals kept under the result store (interrupted campaigns resume by
 re-running the same command), plus per-worker attribution and live/stale
@@ -60,6 +61,7 @@ from repro.experiments.runner import (
     render_all,
     run_experiment,
 )
+from repro.simulator.rmsim import WAVE_MODES
 
 __all__ = ["main", "build_parser"]
 
@@ -106,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--wave",
         default=None,
-        choices=["step", "epsilon", "scalar", "native"],
+        choices=WAVE_MODES,
         help=(
             "simulator event-loop mode (default: REPRO_SIM_WAVE or "
             "'step'; all modes are bit-identical — 'scalar' is the "

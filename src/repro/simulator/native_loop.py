@@ -152,7 +152,6 @@ class NativeRunDriver:
         self.mem_access_j = sim.system.memory.access_energy_nj * 1e-9
         self.alphas = [sim._alpha_for(i) for i in range(n)]
         self.speculate = bool(getattr(rm, "wants_wave_precompute", False))
-        self.eps = sim.wave_epsilon_s if sim.wave == "epsilon" else 0.0
         self.base_time_of: Dict[int, float] = {}
         self.spec_mark = [-1] * n
         self.gate_checked = bool(getattr(rm, "native_gate_checked", False))
@@ -545,7 +544,7 @@ class NativeRunDriver:
             np.multiply(rem, tpi_s, out=dts)
             dts += stall_s
             spec_mark = self.spec_mark
-            wave_mask = dts <= dt + self.eps
+            wave_mask = dts <= dt
             if int(wave_mask.sum()) > 1:
                 members = np.nonzero(wave_mask)[0]
                 wave_inputs = []

@@ -40,11 +40,6 @@ The event loop itself runs in one of three *wave modes*:
   drain one at a time in the scalar order — so full runs are bit-identical
   to the scalar oracle (differentially tested across RMs × models ×
   overheads × reduction/local modes).
-* ``"epsilon"`` — the same loop with a configurable wave window: cores
-  whose boundaries land within ``wave_epsilon_s`` seconds of the next one
-  are batched speculatively too (a mid-wave settings change simply turns
-  the speculation into an unused memo seed — correctness never depends on
-  the window).
 * ``"scalar"`` — the PR-4-era loop, preserved verbatim as the
   differential-testing oracle and perf baseline (the replay engine's
   ``LRUStack`` pattern): single next boundary, one core's observe, scalar
@@ -59,8 +54,7 @@ The event loop itself runs in one of three *wave modes*:
   bit-identical by construction — when no compiler is available.
 
 The mode resolves from the constructor argument, then ``REPRO_SIM_WAVE``,
-then the default; ``wave_epsilon_s`` likewise from the argument, then
-``REPRO_SIM_WAVE_EPS``.  Wave runs also engage the cross-process
+then the default.  Wave runs also engage the cross-process
 persistent local memo (``REPRO_LOCAL_MEMO``, see
 :mod:`repro.core.local_cache`) so repeated campaigns start warm.
 """
@@ -97,20 +91,11 @@ __all__ = [
 #: Violations smaller than this relative slack are float noise, not QoS misses.
 _VIOLATION_EPS = 1e-6
 
-#: The four event-loop modes (see module docstring).
-WAVE_MODES = ("scalar", "step", "epsilon", "native")
+#: The three event-loop modes (see module docstring).
+WAVE_MODES = ("scalar", "step", "native")
 
 #: Environment override for the event-loop mode.
 WAVE_ENV = "REPRO_SIM_WAVE"
-
-#: Environment override for the epsilon-mode wave window (seconds).
-WAVE_EPS_ENV = "REPRO_SIM_WAVE_EPS"
-
-#: Default epsilon window: a fraction of a typical interval duration —
-#: wide enough to co-batch cores drifting apart by enforcement stalls,
-#: narrow enough that mid-wave settings changes (which waste the
-#: speculation) stay rare.
-DEFAULT_WAVE_EPS_S = 1e-4
 
 
 class _CoreStates:
@@ -559,9 +544,6 @@ class MulticoreRMSimulator:
         Event-loop mode (:data:`WAVE_MODES`); None resolves from
         ``REPRO_SIM_WAVE`` then the ``"step"`` default.  All modes
         produce bit-identical results; only wall-clock differs.
-    wave_epsilon_s:
-        Wave window for ``"epsilon"`` mode (seconds); None resolves from
-        ``REPRO_SIM_WAVE_EPS`` then :data:`DEFAULT_WAVE_EPS_S`.
     """
 
     def __init__(
@@ -574,7 +556,6 @@ class MulticoreRMSimulator:
         charge_overheads: bool = True,
         collect_history: bool = False,
         wave: str | None = None,
-        wave_epsilon_s: float | None = None,
     ):
         self.db = db
         self.system: SystemConfig = db.system
@@ -594,12 +575,6 @@ class MulticoreRMSimulator:
                 f"unknown wave mode {wave!r}; options: {WAVE_MODES}"
             )
         self.wave = wave
-        if wave_epsilon_s is None:
-            raw = os.environ.get(WAVE_EPS_ENV)
-            wave_epsilon_s = float(raw) if raw else DEFAULT_WAVE_EPS_S
-        if wave_epsilon_s < 0:
-            raise ValueError("wave_epsilon_s must be non-negative")
-        self.wave_epsilon_s = float(wave_epsilon_s)
 
     # ------------------------------------------------------------------
     def run(
@@ -872,7 +847,6 @@ class MulticoreRMSimulator:
         rm = self.rm
         db = self.db
         n_cores = st.n
-        eps = self.wave_epsilon_s if self.wave == "epsilon" else 0.0
         charge = self.charge_overheads
         cost_model = self.cost_model
         mem_latency_s = self.system.memory.base_latency_s
@@ -925,7 +899,7 @@ class MulticoreRMSimulator:
             dt = float(dts[b])
 
             if speculate:
-                wave_mask = dts <= dt + eps
+                wave_mask = dts <= dt
                 if int(wave_mask.sum()) > 1:
                     members = np.nonzero(wave_mask)[0]
                     wave_inputs = []

@@ -134,8 +134,8 @@ def native_trace_kernels_off() -> Iterator[None]:
 
     Inside the block :func:`repro.cache._native.available` is ``False``, so
     ``leading_miss_matrix`` and ``MLPCounterArray.observe_many`` take their
-    Python loops and the ``auto`` replay engine the NumPy path, exactly
-    as under ``REPRO_NO_NATIVE=1``.  The differential tests and the
+    Python loops and the ``auto`` replay engine the ``LRUStack`` oracle,
+    exactly as under ``REPRO_NO_NATIVE=1``.  The differential tests and the
     fallback benchmarks use it to time and compare both paths in one
     process.
     """

@@ -27,6 +27,7 @@ import pytest
 
 from repro.campaign import Campaign, RunSpec, clear_result_memo
 from repro.campaign.attest import (
+    ATTEST_DIRNAME,
     ResultDivergenceError,
     attestation_stats,
     digest_text,
@@ -374,6 +375,32 @@ class TestVerifyAudit:
         )
         assert report["divergences"] == 0
         assert set(report["modes"]) == {"native", "step", "scalar"}
+
+    def test_retired_wave_mode_reported_skewed(
+        self, full_db, monkeypatch, tmp_path, capsys
+    ):
+        """Sidecars from older code may embed a since-removed wave mode.
+
+        ``wave`` is outside the fingerprint, so the entry itself stays
+        valid; the audit cannot rebuild its spec and must report it as
+        skew instead of raising.
+        """
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
+        spec = ISPECS[0]
+        execute_spec(spec)
+        clear_result_memo()
+        fp = spec.fingerprint
+        sidecar = tmp_path / ATTEST_DIRNAME / f"{fp}.json"
+        payload = json.loads(sidecar.read_text())
+        payload["spec"]["wave"] = "epsilon"
+        sidecar.write_text(json.dumps(payload))
+        assert cli_main(["verify", "--sample", "1"]) == 0
+        assert "1 skipped (version/calibration skew)" in capsys.readouterr().out
+        report = verify_store(tmp_path, sample=1, out=lambda _: None)
+        assert report["skewed"] == [fp]
+        assert report["reexecuted"] == 0
+        assert report["divergences"] == 0
+        assert (tmp_path / f"{fp}.json").is_file()  # not retired
 
     def test_cli_verify_exit_codes(self, full_db, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))

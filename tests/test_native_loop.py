@@ -3,7 +3,7 @@
 The contract under test:
 
 * ``wave="native"`` is bit-identical to every other loop mode
-  (``scalar``/``step``/``epsilon``) on full runs — settings history,
+  (``scalar``/``step``) on full runs — settings history,
   energies, violations and the operation accounting
   (``rm_invocations``/``rm_instructions``/``rate_refreshes``) — across
   RMs x models x overheads x reduction/local modes, including all-tied
@@ -76,7 +76,7 @@ class TestNativeDifferential:
     @pytest.mark.parametrize("charge", [True, False])
     def test_matrix(self, mini_db4, kind, model, charge):
         native = _run(mini_db4, kind, model, "native", APPS4, charge=charge)
-        for wave in ("scalar", "step", "epsilon"):
+        for wave in ("scalar", "step"):
             other = _run(mini_db4, kind, model, wave, APPS4, charge=charge)
             assert native == other, f"{kind}/{model} native != {wave}"
 
@@ -478,7 +478,7 @@ class TestCampaignNative:
     def test_wave_excluded_from_fingerprint(self):
         fps = {
             self._spec(wave=wave).fingerprint
-            for wave in (None, "scalar", "step", "epsilon", "native")
+            for wave in (None, "scalar", "step", "native")
         }
         assert len(fps) == 1
 

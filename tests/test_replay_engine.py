@@ -1,9 +1,10 @@
-"""Differential tests: batched replay engines vs. the LRUStack oracle.
+"""Differential tests: replay engines vs. the LRUStack reference.
 
-The vectorized (NumPy) and native (compiled) engines must be bit-for-bit
-equivalent to driving :class:`repro.cache.lru.LRUStack` one access at a
-time — same recency for every access and same final stack state — across
-random streams, random replay orders, warm and cold starts, and depths
+Both engines — the native (compiled) kernel and the ``oracle`` loop that
+is also the no-compiler fallback — must be bit-for-bit equivalent to
+driving :class:`repro.cache.lru.LRUStack` one access at a time — same
+recency for every access and same final stack state — across random
+streams, random replay orders, warm and cold starts, and depths
 {1, 4, 16}.  These tests are the contract that lets every consumer (main
 tag directory, ATD, database builder) switch engines freely.
 """
@@ -21,16 +22,20 @@ from repro.cache.lru import LRUStack
 from repro.cache.replay import (
     clear_replay_memo,
     prewarm_tags,
+    replay_access_stream,
     replay_pristine,
     resolve_engine,
-    vector_replay,
 )
 from repro.cache.setassoc import SetAssociativeLRU
 from repro.trace.stream import FRESH
 
 DEPTHS = (1, 4, 16)
 
-ENGINES = ["vector"] + (["native"] if _native.available() else [])
+#: Compiled engines exercised against the oracle-pinned directory.
+FAST_ENGINES = ["native"] if _native.available() else []
+
+#: Every engine behind the ``replay_access_stream`` front door.
+ENGINES = ["oracle"] + FAST_ENGINES
 
 
 @pytest.fixture(autouse=True)
@@ -43,7 +48,7 @@ def _fresh_memo():
     clear_replay_memo()
 
 
-def oracle_replay(sets, tags, n_sets, depth, order=None, initial=None):
+def reference_replay(sets, tags, n_sets, depth, order=None, initial=None):
     """Reference: per-access LRUStack updates."""
     stacks = [
         LRUStack(depth, list(initial[s]) if initial is not None else None)
@@ -64,11 +69,14 @@ def random_case(rng, depth):
     return n, n_sets, sets, tags
 
 
-class TestVectorEngine:
+@pytest.mark.parametrize("engine", ENGINES)
+class TestReplayEngines:
     @pytest.mark.parametrize("depth", DEPTHS)
     @pytest.mark.parametrize("prewarm", [False, True])
     @pytest.mark.parametrize("shuffled", [False, True])
-    def test_matches_oracle_on_random_streams(self, depth, prewarm, shuffled):
+    def test_matches_oracle_on_random_streams(
+        self, engine, depth, prewarm, shuffled
+    ):
         rng = np.random.default_rng(hash((depth, prewarm, shuffled)) % 2**32)
         for _ in range(12):
             n, n_sets, sets, tags = random_case(rng, depth)
@@ -78,60 +86,70 @@ class TestVectorEngine:
                 if prewarm
                 else None
             )
-            got, state = vector_replay(
+            got, state = replay_access_stream(
                 sets, tags, n_sets=n_sets, depth=depth, order=order,
-                initial=initial, want_state=True,
+                initial=initial, want_state=True, engine=engine,
             )
-            want, want_state = oracle_replay(
+            want, want_state = reference_replay(
                 sets, tags, n_sets, depth, order, initial
             )
             assert np.array_equal(got, want)
             assert [list(map(int, c)) for c in state] == want_state
 
-    def test_huge_tag_range_matches_oracle(self):
-        """Address-like tags must not overflow the composite sort key."""
+    def test_huge_tag_range_matches_oracle(self, engine):
+        """Address-like tags (far beyond int32) must replay exactly."""
         rng = np.random.default_rng(3)
         n, n_sets, depth = 300, 8, 4
         sets = rng.integers(0, n_sets, n).astype(np.int32)
         base = rng.integers(0, 30, n).astype(np.int64)
         tags = base * (2**55) + base  # range >> 2**63 / n_sets
-        got, _ = vector_replay(sets, tags, n_sets=n_sets, depth=depth)
-        want, _ = oracle_replay(sets, tags, n_sets, depth)
+        got, _ = replay_access_stream(
+            sets, tags, n_sets=n_sets, depth=depth, engine=engine
+        )
+        want, _ = reference_replay(sets, tags, n_sets, depth)
         assert np.array_equal(got, want)
 
-    def test_empty_stream(self):
-        rec, state = vector_replay(
+    def test_empty_stream(self, engine):
+        rec, state = replay_access_stream(
             np.empty(0, np.int32), np.empty(0, np.int64),
-            n_sets=4, depth=4, want_state=True,
+            n_sets=4, depth=4, want_state=True, engine=engine,
         )
         assert rec.size == 0
         assert state == [[], [], [], []]
 
-    def test_resume_from_partial_state(self):
+    def test_resume_from_partial_state(self, engine):
         """Split replay (two calls, state carried) == single replay."""
         rng = np.random.default_rng(7)
         n, n_sets, depth = 400, 4, 4
         sets = rng.integers(0, n_sets, n).astype(np.int32)
         tags = rng.integers(0, 25, n).astype(np.int64)
-        whole, _ = vector_replay(sets, tags, n_sets=n_sets, depth=depth)
-        first, mid_state = vector_replay(
-            sets[:150], tags[:150], n_sets=n_sets, depth=depth, want_state=True
+        kw = dict(n_sets=n_sets, depth=depth, engine=engine)
+        whole, _ = replay_access_stream(sets, tags, **kw)
+        first, mid_state = replay_access_stream(
+            sets[:150], tags[:150], want_state=True, **kw
         )
-        second, _ = vector_replay(
-            sets[150:], tags[150:], n_sets=n_sets, depth=depth,
-            initial=mid_state,
+        second, _ = replay_access_stream(
+            sets[150:], tags[150:], initial=mid_state, **kw
         )
         assert np.array_equal(np.concatenate([first, second]), whole)
 
-    def test_validation(self):
+    def test_validation(self, engine):
+        def replay(sets, tags, **kw):
+            return replay_access_stream(sets, tags, engine=engine, **kw)
+
         with pytest.raises(ValueError):
-            vector_replay(np.zeros(1, np.int32), np.zeros(1), n_sets=0, depth=4)
+            replay(np.zeros(1, np.int32), np.zeros(1), n_sets=0, depth=4)
         with pytest.raises(ValueError):
-            vector_replay(np.zeros(1, np.int32), np.zeros(1), n_sets=1, depth=0)
+            replay(np.zeros(1, np.int32), np.zeros(1), n_sets=1, depth=0)
         with pytest.raises(ValueError):
-            vector_replay(
+            replay(
                 np.zeros(2, np.int32), np.zeros(2), n_sets=1, depth=4,
                 order=[0],
+            )
+        with pytest.raises(ValueError):
+            replay(
+                np.zeros(1, np.int32), np.zeros(1), n_sets=2, depth=4,
+                initial=[[]],
             )
 
 
@@ -152,7 +170,7 @@ class TestNativeEngine:
                 sets, tags, n_sets=n_sets, depth=depth, order=order,
                 initial=initial, want_state=True,
             )
-            want, want_state = oracle_replay(
+            want, want_state = reference_replay(
                 sets, tags, n_sets, depth, order, initial
             )
             assert np.array_equal(got, want)
@@ -160,7 +178,7 @@ class TestNativeEngine:
 
 
 class TestSetAssociativeEngines:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     @pytest.mark.parametrize("order", ["program", "arrival"])
     def test_stream_replay_matches_oracle(self, cs_trace, generator, engine, order):
         stream = cs_trace.stream
@@ -171,7 +189,7 @@ class TestSetAssociativeEngines:
         )
         assert fast.contents() == ref.contents()
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_sequential_replays_carry_state(self, cs_trace, chain_trace, generator, engine):
         fast = SetAssociativeLRU(generator.n_sets, engine=engine)
         ref = SetAssociativeLRU(generator.n_sets, engine="oracle")
@@ -186,7 +204,7 @@ class TestSetAssociativeEngines:
         assert fast.contents() == ref.contents()
 
     def test_access_after_replay_continues_exactly(self, cs_trace, generator):
-        fast = SetAssociativeLRU(generator.n_sets, engine="vector")
+        fast = SetAssociativeLRU(generator.n_sets)
         ref = SetAssociativeLRU(generator.n_sets, engine="oracle")
         fast.replay(cs_trace.stream)
         ref.replay(cs_trace.stream)
@@ -231,6 +249,18 @@ class TestReplayMemo:
         assert prog is not arr
         assert np.array_equal(prog, cs_trace.stream.recency)
         clear_replay_memo()
+
+    def test_oracle_engine_bypasses_memo(self, cs_trace, generator):
+        """The oracle recomputes, so it stays independent of the memo."""
+        memo = replay_pristine(
+            cs_trace.stream, n_sets=generator.n_sets, depth=16,
+            prewarm=True, order_key="arrival",
+        )[0]
+        ref = SetAssociativeLRU(generator.n_sets, engine="oracle").replay(
+            cs_trace.stream, "arrival"
+        )
+        assert ref is not memo and ref.flags.writeable
+        assert np.array_equal(ref, memo)
 
     def test_bad_order_key(self, cs_trace, generator):
         with pytest.raises(ValueError):
@@ -347,10 +377,17 @@ class TestObserveMany:
 
 
 def test_resolve_engine_contract(monkeypatch):
-    assert resolve_engine("vector") == "vector"
     assert resolve_engine("oracle") == "oracle"
-    assert resolve_engine("auto") in ("native", "vector")
-    monkeypatch.setenv("REPRO_REPLAY_ENGINE", "vector")
-    assert resolve_engine(None) == "vector"
-    with pytest.raises(ValueError):
-        resolve_engine("warp-drive")
+    auto = "native" if _native.available() else "oracle"
+    assert resolve_engine("auto") == resolve_engine(None) == auto
+    # The retired engine override no longer steers the default.
+    monkeypatch.setenv("REPRO_REPLAY_ENGINE", "oracle")
+    assert resolve_engine(None) == auto
+    for retired in ("vector", "warp-drive"):
+        with pytest.raises(ValueError):
+            resolve_engine(retired)
+    # Without a compiler, auto falls back to the reference loop.
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native, "_lib_failed", False)
+    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    assert resolve_engine("auto") == "oracle"

@@ -2,8 +2,8 @@
 
 The contract under test:
 
-* every wave mode (``step``, ``epsilon``) is bit-identical to the
-  ``scalar`` oracle on full runs — settings history, energies,
+* the wave-batched ``step`` mode is bit-identical to the ``scalar``
+  oracle on full runs — settings history, energies,
   violations, operation accounting — across RMs x models x overheads x
   reduction/local modes (the replay engine's differential pattern);
 * the accelerated reduction path (budget windows, native kernel, lazy
@@ -92,23 +92,12 @@ class TestBoundaryWave:
         assert b.core_id == 0  # lowest id among ties
         assert members.tolist() == [0, 2, 3]
 
-    def test_epsilon_window_widens_membership(self):
-        stall = np.zeros(3)
-        rem = np.array([5.0, 5.4, 6.0])
-        tpi = np.ones(3)
-        _, tight = next_boundary_wave(stall, rem, tpi, epsilon_s=0.0)
-        _, wide = next_boundary_wave(stall, rem, tpi, epsilon_s=0.5)
-        assert tight.tolist() == [0]
-        assert wide.tolist() == [0, 1]
-
     def test_validation(self):
         ok = np.ones(2)
         with pytest.raises(ValueError):
             next_boundary_wave(np.array([]), np.array([]), np.array([]))
         with pytest.raises(ValueError):
             next_boundary_wave(-ok, ok, ok)
-        with pytest.raises(ValueError):
-            next_boundary_wave(ok, ok, ok, epsilon_s=-1.0)
 
     def test_out_buffer_is_used(self):
         stall, rem, tpi = np.zeros(2), np.ones(2), np.ones(2)
@@ -128,7 +117,7 @@ class TestWaveDifferential:
             wave: _run_json(mini_db4, system4, kind, model, wave)[0]
             for wave in WAVE_MODES
         }
-        assert texts["scalar"] == texts["step"] == texts["epsilon"]
+        assert texts["scalar"] == texts["step"]
 
     @pytest.mark.parametrize("reduction", ["incremental", "full_rebuild"])
     @pytest.mark.parametrize("local_mode", ["memoized", "always_recompute"])
@@ -150,7 +139,7 @@ class TestWaveDifferential:
             texts[wave] = result_to_json(
                 sim.run(["mini_csps", "mini_cips"], horizon_intervals=10)
             )
-        assert texts["scalar"] == texts["step"] == texts["epsilon"]
+        assert texts["scalar"] == texts["step"]
 
     def test_tied_boundaries_bit_identical(self, mini_db4, system4):
         """Same app on every core: every boundary is a full wave."""
@@ -168,7 +157,7 @@ class TestWaveDifferential:
                 texts[wave] = result_to_json(
                     sim.run(["mini_csps"] * 4, horizon_intervals=10)
                 )
-            assert texts["scalar"] == texts["step"] == texts["epsilon"]
+            assert texts["scalar"] == texts["step"]
 
     def test_no_overheads_bit_identical(self, mini_db4, system4):
         texts = {}
@@ -184,24 +173,16 @@ class TestWaveDifferential:
             texts[wave] = result_to_json(
                 sim.run(_apps(system4), horizon_intervals=10)
             )
-        assert texts["scalar"] == texts["step"] == texts["epsilon"]
+        assert texts["scalar"] == texts["step"]
 
     def test_wave_mode_resolution_and_validation(self, mini_db, system2, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_WAVE", raising=False)
         sim = MulticoreRMSimulator(mini_db, IdleRM(system2))
         assert sim.wave == "step"
-        monkeypatch.setenv("REPRO_SIM_WAVE", "epsilon")
-        assert MulticoreRMSimulator(mini_db, IdleRM(system2)).wave == "epsilon"
-        monkeypatch.setenv("REPRO_SIM_WAVE_EPS", "0.25")
-        assert (
-            MulticoreRMSimulator(mini_db, IdleRM(system2)).wave_epsilon_s == 0.25
-        )
+        monkeypatch.setenv("REPRO_SIM_WAVE", "scalar")
+        assert MulticoreRMSimulator(mini_db, IdleRM(system2)).wave == "scalar"
         with pytest.raises(ValueError):
             MulticoreRMSimulator(mini_db, IdleRM(system2), wave="batched")
-        with pytest.raises(ValueError):
-            MulticoreRMSimulator(
-                mini_db, IdleRM(system2), wave_epsilon_s=-1.0
-            )
 
     def test_precompute_wave_seeds_memo(self, mini_db, system2):
         rm = make_rm("rm3", system2, Model3())
