@@ -1,17 +1,14 @@
 """Simulator event-loop benchmarks: wave batching + persistent memo.
 
 End-to-end RM3/Model3 runs (fresh manager per round, the campaign-worker
-shape) in the three event-loop flavours:
+shape) in three flavours:
 
 * ``scalar`` — the PR-4 loop, preserved as the differential oracle and
   perf baseline,
 * ``wave`` cold — the wave-batched loop without a persistent memo,
 * ``wave`` warm — the wave-batched loop with ``REPRO_LOCAL_MEMO`` primed
   on disk, so every fresh manager starts with the whole phase library
-  one read away (the repeated-campaign / warm-CI scenario),
-* ``native`` — the one-call compiled run engine (PR 7): the C loop owns
-  the SoA state and replays provably-identity decisions natively,
-  calling back into Python only for the rest.
+  one read away (the repeated-campaign / warm-CI scenario).
 
 ``BENCH_simloop.json`` at the repo root keeps the committed baseline
 (regenerate with ``python -m repro bench --emit simloop`` — the emitter
@@ -49,7 +46,7 @@ def _workload(n_cores):
     return db, [names[i % len(names)] for i in range(n_cores)]
 
 
-@pytest.mark.parametrize("wave", ["scalar", "step", "native"])
+@pytest.mark.parametrize("wave", ["scalar", "step"])
 @pytest.mark.parametrize("n_cores", CORE_COUNTS)
 def test_bench_sim_loop(benchmark, n_cores, wave, monkeypatch):
     """One end-to-end run per round, fresh manager, no persistent tier."""

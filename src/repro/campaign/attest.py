@@ -23,8 +23,8 @@ This module is what turns that assumption into a checked contract:
   (``REPRO_VERIFY_READS=0`` opts out, e.g. for A/B benchmarking).
 * :func:`verify_store` is the audit engine behind ``repro verify``: a
   full digest sweep of the store plus deterministic-sample re-execution
-  (optionally cross-mode: native vs wave vs scalar) diffed byte-for-byte
-  against the stored entries.
+  (optionally cross-mode: the step loop and the scalar oracle) diffed
+  byte-for-byte against the stored entries.
 
 The distributed fabric builds on the same digests: done markers carry
 the worker's claimed digest and the coordinator cross-checks it against
@@ -365,7 +365,7 @@ def _sample_order(fingerprints: Sequence[str], seed: int) -> List[str]:
 def _reexecution_modes(cross_mode: bool, spec: RunSpec) -> List[Optional[str]]:
     """Event-loop modes to re-execute a sampled spec under.
 
-    All modes are differentially tested bit-identical, which is exactly
+    Both modes are differentially tested bit-identical, which is exactly
     what makes them useful as *independent witnesses*: a cross-mode
     audit re-runs the spec through every loop in
     :data:`~repro.simulator.rmsim.WAVE_MODES`, and any disagreement with

@@ -80,9 +80,10 @@ class RunSpec:
     charge_overheads: bool = True
     #: Simulator event-loop mode (None = the simulator's own resolution:
     #: ``REPRO_SIM_WAVE`` then ``"step"``).  Deliberately EXCLUDED from
-    #: the fingerprint: every mode produces bit-identical results
-    #: (differentially tested), so specs differing only in ``wave``
-    #: address the same cached result.
+    #: the fingerprint: the wave loop and its scalar oracle produce
+    #: bit-identical results (differential tests plus CI's cross-mode
+    #: CSV diff), so specs differing only in ``wave`` address the same
+    #: cached result.
     wave: Optional[str] = None
 
     def __post_init__(self) -> None:

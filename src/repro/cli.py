@@ -111,28 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=WAVE_MODES,
         help=(
             "simulator event-loop mode (default: REPRO_SIM_WAVE or "
-            "'step'; all modes are bit-identical — 'scalar' is the "
-            "slow differential oracle, 'native' the one-call compiled "
-            "run engine)"
-        ),
-    )
-    parser.add_argument(
-        "--batch-runs",
-        action="store_true",
-        help=(
-            "serial campaigns: advance same-shape native-mode runs "
-            "together through one shared native event loop "
-            "(REPRO_BATCH_RUNS; bit-identical, scheduling only)"
-        ),
-    )
-    parser.add_argument(
-        "--native-stats",
-        action="store_true",
-        help=(
-            "aggregate the native loop's replay counters across the "
-            "campaign and print a per-RM replay-fraction table "
-            "(REPRO_NATIVE_STATS; observability only, excluded from "
-            "result fingerprints)"
+            "'step'; both modes are bit-identical — 'scalar' is the "
+            "slow differential oracle)"
         ),
     )
     parser.add_argument(
@@ -234,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "with 'verify --sample': re-execute each sampled spec in "
-            "every event-loop mode (native/step/scalar) — all must "
+            "every event-loop mode (step and scalar) — each must "
             "reproduce the stored bytes"
         ),
     )
@@ -550,14 +530,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         import os
 
         os.environ["REPRO_SIM_WAVE"] = args.wave
-    if args.batch_runs:
-        import os
-
-        os.environ["REPRO_BATCH_RUNS"] = "1"
-    if args.native_stats:
-        import os
-
-        os.environ["REPRO_NATIVE_STATS"] = "1"
 
     cfg = ExperimentConfig(
         seed=args.seed,

@@ -24,7 +24,7 @@ Per-core execution state lives in a struct-of-arrays container
 system pays a handful of array operations per event instead of a Python
 loop over cores.
 
-The event loop itself runs in one of three *wave modes*:
+The event loop itself runs in one of two *wave modes*:
 
 * ``"step"`` (default) — the wave-batched loop: each event also names the
   *boundary wave* (every core whose boundary lands in the same wall-clock
@@ -45,13 +45,6 @@ The event loop itself runs in one of three *wave modes*:
   ``LRUStack`` pattern): single next boundary, one core's observe, scalar
   per-core settings diff, no memo speculation, no persistent-memo tier,
   no reduction-combine reuse.
-* ``"native"`` — the one-call run engine: the whole steady-state event
-  loop (boundary pick, advance, QoS, rollover, replayed overhead
-  charge) compiled as one C loop behind a single FFI call per run
-  segment, returning to Python only for boundaries whose manager
-  decision is not provably replayable (see
-  :mod:`repro.simulator.native_loop`).  Falls back to the wave loop —
-  bit-identical by construction — when no compiler is available.
 
 The mode resolves from the constructor argument, then ``REPRO_SIM_WAVE``,
 then the default.  Wave runs also engage the cross-process
@@ -91,8 +84,8 @@ __all__ = [
 #: Violations smaller than this relative slack are float noise, not QoS misses.
 _VIOLATION_EPS = 1e-6
 
-#: The three event-loop modes (see module docstring).
-WAVE_MODES = ("scalar", "step", "native")
+#: The event-loop modes (see module docstring).
+WAVE_MODES = ("scalar", "step")
 
 #: Environment override for the event-loop mode.
 WAVE_ENV = "REPRO_SIM_WAVE"
@@ -171,9 +164,6 @@ class _CoreStates:
         self.overhead_j = np.zeros(n)
         self.records: List[PhaseRecord] = [None] * n  # type: ignore[list-item]
         self.settings: List[Setting] = [None] * n  # type: ignore[list-item]
-        # int64 array (not a list): the native run engine advances the
-        # boundary core's interval index in C; every Python consumer
-        # (tuple indexing, modulo, comparisons) is np.int64-safe.
         self.intervals = np.zeros(n, dtype=np.int64)
         self.apps: List[str] = [""] * n
         # Settings mirror for the vectorised diff (wave loop).
@@ -371,61 +361,6 @@ def advance_cores_wave(st: _CoreStates, dt: float, horizon: float) -> None:
             return
         # Finish-adjacent event: nothing was mutated — fall through to
         # the reference arithmetic below.
-    advance_wave_fallback(st, dt, horizon)
-
-
-def _adv_ptrs_of(st: _CoreStates) -> tuple:
-    ptrs = st._adv_ptrs
-    if ptrs is None:
-        ptrs = st._adv_ptrs = (
-            st.stall_s.ctypes.data,
-            st.tpi_s.ctypes.data,
-            st.instr_done.ctypes.data,
-            st.total_instr.ctypes.data,
-            st.interval_elapsed_s.ctypes.data,
-            st.n_instructions.ctypes.data,
-            st.epi_j.ctypes.data,
-            st.work_j_per_inst.ctypes.data,
-            st.static_w.ctypes.data,
-            st._active.ctypes.data,
-            st.core_dynamic_j.ctypes.data,
-            st.core_static_j.ctypes.data,
-            st.memory_j.ctypes.data,
-            st._dinstr.ctypes.data,
-        )
-    return ptrs
-
-
-def advance_cores_wave_unscratched(
-    st: _CoreStates, dt: float, horizon: float
-) -> None:
-    """:func:`advance_cores_wave` without the ``st._remaining`` precondition.
-
-    The compiled fast path never reads the scratch, so callers that
-    learned the boundary from the run engine (rather than a NumPy argmin
-    that filled ``st._remaining`` as a side effect) skip the fill and
-    derive it here only for the rare deferred finish-adjacent event.
-    """
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    lib = st._advlib
-    if lib is not None and lib.advance_fast(
-        dt, horizon, st.n, *_adv_ptrs_of(st)
-    ) == 0:
-        return
-    np.subtract(st.n_instructions, st.instr_done, out=st._remaining)
-    np.maximum(st._remaining, 0.0, out=st._remaining)
-    advance_wave_fallback(st, dt, horizon)
-
-
-def advance_wave_fallback(st: _CoreStates, dt: float, horizon: float) -> None:
-    """The NumPy half of :func:`advance_cores_wave`.
-
-    Requires ``st._remaining`` to hold this event's pre-advance remaining
-    instructions.  Split out so callers that learned the boundary from
-    the compiled run engine (which needs no scratch) can fill the scratch
-    only when the compiled advance defers a finish-adjacent event here.
-    """
     served = np.minimum(st.stall_s, dt, out=st._served)
     d_instr = np.subtract(dt, served, out=st._dinstr)
     np.divide(d_instr, st.tpi_s, out=d_instr)
@@ -454,6 +389,28 @@ def advance_wave_fallback(st: _CoreStates, dt: float, horizon: float) -> None:
     st.instr_done += d_instr
     st.total_instr += d_instr
     st.interval_elapsed_s += dt
+
+
+def _adv_ptrs_of(st: _CoreStates) -> tuple:
+    ptrs = st._adv_ptrs
+    if ptrs is None:
+        ptrs = st._adv_ptrs = (
+            st.stall_s.ctypes.data,
+            st.tpi_s.ctypes.data,
+            st.instr_done.ctypes.data,
+            st.total_instr.ctypes.data,
+            st.interval_elapsed_s.ctypes.data,
+            st.n_instructions.ctypes.data,
+            st.epi_j.ctypes.data,
+            st.work_j_per_inst.ctypes.data,
+            st.static_w.ctypes.data,
+            st._active.ctypes.data,
+            st.core_dynamic_j.ctypes.data,
+            st.core_static_j.ctypes.data,
+            st.memory_j.ctypes.data,
+            st._dinstr.ctypes.data,
+        )
+    return ptrs
 
 
 def _advance_finish_event(
@@ -593,30 +550,6 @@ class MulticoreRMSimulator:
             Override the horizon (defaults to the longest application's
             pass length, the paper's "longest application" rule).
         """
-        st, horizon, baseline, history = self._prepare_run(apps, horizon_intervals)
-        self._last_native_stats = None
-        if self.wave == "scalar":
-            totals = self._loop_scalar(st, horizon, baseline, max_events, history)
-        elif self.wave == "native":
-            totals = self._loop_native(st, horizon, baseline, max_events, history)
-        else:
-            totals = self._loop_wave(st, horizon, baseline, max_events, history)
-        return self._finish_run(
-            apps, st, horizon, totals, history,
-            native_stats=self._last_native_stats,
-        )
-
-    # ------------------------------------------------------------------
-    def _prepare_run(
-        self, apps: Sequence[str], horizon_intervals: Optional[int] = None
-    ) -> Tuple[_CoreStates, float, Setting, Optional[List[SettingChange]]]:
-        """Validate the workload and build the run's initial state.
-
-        Split out of :meth:`run` so the multi-run batcher
-        (:mod:`repro.simulator.batch`) can prepare many runs, drive them
-        through one shared native loop, and assemble each result with
-        :meth:`_finish_run`.
-        """
         system = self.system
         n_cores = system.n_cores
         if len(apps) != n_cores:
@@ -644,18 +577,7 @@ class MulticoreRMSimulator:
 
         history: Optional[List[SettingChange]] = [] if self.collect_history else None
         self._configure_rm_for_mode()
-        return st, horizon, baseline, history
-
-    def _finish_run(
-        self,
-        apps: Sequence[str],
-        st: _CoreStates,
-        horizon: float,
-        totals: Tuple[float, int, int, List[float], int, float],
-        history: Optional[List[SettingChange]],
-        native_stats: Optional[dict] = None,
-    ) -> SimResult:
-        """Assemble the :class:`SimResult` from a completed loop's totals."""
+        loop = self._loop_scalar if self.wave == "scalar" else self._loop_wave
         (
             t,
             intervals_completed,
@@ -663,7 +585,7 @@ class MulticoreRMSimulator:
             violations,
             rm_invocations,
             rm_instructions,
-        ) = totals
+        ) = loop(st, horizon, baseline, max_events, history)
 
         uncore_power = self.rm.energy_model.power.uncore_power_w(st.n)
         return SimResult(
@@ -679,7 +601,6 @@ class MulticoreRMSimulator:
             rm_invocations=rm_invocations,
             rm_instructions=rm_instructions,
             history=history,
-            native_stats=native_stats,
         )
 
     # ------------------------------------------------------------------
@@ -1009,30 +930,6 @@ class MulticoreRMSimulator:
             rm_invocations,
             rm_instructions,
         )
-
-    # ------------------------------------------------------------------
-    def _loop_native(
-        self,
-        st: _CoreStates,
-        horizon: float,
-        baseline: Setting,
-        max_events: int,
-        history: Optional[List[SettingChange]],
-    ) -> Tuple[float, int, int, List[float], int, float]:
-        """The one-call native run engine (see :mod:`repro.simulator.native_loop`).
-
-        Without a compiler the mode degrades to the wave loop outright —
-        bit-identical by the standing mode-invariance contract, so
-        ``wave="native"`` is always safe to request.
-        """
-        if _native_opt.raw_lib() is None:
-            return self._loop_wave(st, horizon, baseline, max_events, history)
-        from repro.simulator.native_loop import NativeRunDriver, drive
-
-        driver = NativeRunDriver(self, st, horizon, baseline, max_events, history)
-        drive([driver])
-        self._last_native_stats = driver.native_stats()
-        return driver.totals()
 
     # ------------------------------------------------------------------
     def _alpha_for(self, core_id: int) -> float:

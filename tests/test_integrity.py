@@ -48,6 +48,7 @@ from repro.campaign.results import (
 )
 from repro.campaign.transport import FileTransport
 from repro.cli import main as cli_main
+from repro.simulator.rmsim import WAVE_MODES
 from repro.testing import serial_oracle
 from repro.util import faults
 
@@ -374,7 +375,7 @@ class TestVerifyAudit:
             tmp_path, sample=1, cross_mode=True, out=lambda _: None
         )
         assert report["divergences"] == 0
-        assert set(report["modes"]) == {"native", "step", "scalar"}
+        assert set(report["modes"]) == set(WAVE_MODES)
 
     def test_retired_wave_mode_reported_skewed(
         self, full_db, monkeypatch, tmp_path, capsys
@@ -391,16 +392,18 @@ class TestVerifyAudit:
         clear_result_memo()
         fp = spec.fingerprint
         sidecar = tmp_path / ATTEST_DIRNAME / f"{fp}.json"
-        payload = json.loads(sidecar.read_text())
-        payload["spec"]["wave"] = "epsilon"
-        sidecar.write_text(json.dumps(payload))
-        assert cli_main(["verify", "--sample", "1"]) == 0
-        assert "1 skipped (version/calibration skew)" in capsys.readouterr().out
-        report = verify_store(tmp_path, sample=1, out=lambda _: None)
-        assert report["skewed"] == [fp]
-        assert report["reexecuted"] == 0
-        assert report["divergences"] == 0
-        assert (tmp_path / f"{fp}.json").is_file()  # not retired
+        for retired in ("epsilon", "native"):
+            payload = json.loads(sidecar.read_text())
+            payload["spec"]["wave"] = retired
+            sidecar.write_text(json.dumps(payload))
+            assert cli_main(["verify", "--sample", "1"]) == 0, retired
+            out = capsys.readouterr().out
+            assert "1 skipped (version/calibration skew)" in out, retired
+            report = verify_store(tmp_path, sample=1, out=lambda _: None)
+            assert report["skewed"] == [fp], retired
+            assert report["reexecuted"] == 0
+            assert report["divergences"] == 0
+            assert (tmp_path / f"{fp}.json").is_file()  # not retired
 
     def test_cli_verify_exit_codes(self, full_db, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))

@@ -333,9 +333,8 @@ class TestLocalModeIdentity:
             assert text == reference
 
     def test_memo_hits_on_recurring_phases(self, mini_db, system2):
-        # Pinned to the wave loop: the native engine replays recurring
-        # decisions without consulting the memo at all, so the hit-rate
-        # floor is a property of the observe path, not the run mode.
+        # Pinned to the wave loop: the scalar oracle runs without the
+        # wave-only memo accelerations.
         rm = make_rm("rm3", system2, Model3(), local_mode="memoized")
         MulticoreRMSimulator(mini_db, rm, wave="step").run(
             ["mini_csps", "mini_cips"], horizon_intervals=10

@@ -5,7 +5,8 @@ The contract under test:
 * the wave-batched ``step`` mode is bit-identical to the ``scalar``
   oracle on full runs — settings history, energies,
   violations, operation accounting — across RMs x models x overheads x
-  reduction/local modes (the replay engine's differential pattern);
+  reduction/local modes (the replay engine's differential pattern),
+  including two canonical-suite RM3 runs pinned as regressions;
 * the accelerated reduction path (budget windows, native kernel, lazy
   back-track choices) is bit-identical to the plain tree;
 * the persistent local memo replays results exactly across processes,
@@ -218,6 +219,134 @@ class TestWaveDifferential:
         rm = IdleRM(system2)
         assert rm.wants_wave_precompute is False
         assert rm.precompute_wave([(0, _inputs(mini_db, system2, "mini_csps"))]) == 0
+
+
+def _run(db, kind, model, wave, apps, horizon=10, charge=True, **kw):
+    if kind == "idle":
+        rm = make_rm("idle", db.system)
+    else:
+        rm = make_rm(kind, db.system, MODELS[model](), **kw)
+    sim = MulticoreRMSimulator(
+        db, rm, charge_overheads=charge, collect_history=True, wave=wave
+    )
+    return sim.run(apps, horizon_intervals=horizon)
+
+
+def _runs_by_mode(db, kind, model, apps, **kw):
+    return {wave: _run(db, kind, model, wave, apps, **kw) for wave in WAVE_MODES}
+
+
+def test_wave_modes_are_scalar_and_step():
+    assert WAVE_MODES == ("scalar", "step")
+
+
+APPS4 = ["mini_csps", "mini_cips", "mini_csps", "mini_cipi"]
+
+#: Workload mixes that settle into short decision cycles (settings
+#: oscillating on the mini_csps 6-interval phase pattern).
+OSC_MIXES = {
+    "mixed": APPS4,
+    "phase_heavy": ["mini_csps", "mini_csps", "mini_cips", "mini_csps"],
+}
+
+OSC_KINDS = [("rm1", "Model1"), ("rm2", "Model1"), ("rm3", "Model3")]
+
+
+class TestModeMatrix:
+    """``step`` == ``scalar`` on full 4-core runs, beyond the wave
+    differential above: the online Model1 under RM1/RM2, longer
+    horizons whose decisions cycle, a capacity-one memo and the forced
+    no-compiler path.  ``SimResult`` equality covers the settings
+    history, energies, violations and the charged operation bills."""
+
+    @pytest.mark.parametrize(
+        "kind,model",
+        [
+            ("idle", None),
+            ("rm1", "Model1"),
+            ("rm2", "Model1"),
+            ("rm3", "Model3"),
+            ("rm3", "Perfect"),
+        ],
+    )
+    @pytest.mark.parametrize("charge", [True, False])
+    def test_matrix(self, mini_db4, kind, model, charge):
+        runs = _runs_by_mode(mini_db4, kind, model, APPS4, charge=charge)
+        assert runs["step"] == runs["scalar"], f"{kind}/{model}"
+
+    @pytest.mark.parametrize("reduction", ["incremental", "full_rebuild"])
+    @pytest.mark.parametrize("local_mode", ["memoized", "always_recompute"])
+    def test_reduction_and_local_modes(self, mini_db4, reduction, local_mode):
+        runs = _runs_by_mode(
+            mini_db4, "rm3", "Model3", APPS4,
+            reduction=reduction, local_mode=local_mode,
+        )
+        assert runs["step"] == runs["scalar"]
+
+    def test_accounting_mode_invariant(self, mini_db4):
+        """The charged operation totals are identical in all modes."""
+        runs = _runs_by_mode(mini_db4, "rm3", "Model3", APPS4)
+        base = runs["scalar"]
+        for wave, res in runs.items():
+            assert res.rm_invocations == base.rm_invocations, wave
+            assert res.rm_instructions == base.rm_instructions, wave
+            assert res.intervals_completed == base.intervals_completed, wave
+
+    @pytest.mark.parametrize("mix", sorted(OSC_MIXES))
+    @pytest.mark.parametrize("kind,model", OSC_KINDS)
+    def test_decision_cycles(self, mini_db4, kind, model, mix):
+        runs = _runs_by_mode(mini_db4, kind, model, OSC_MIXES[mix], horizon=24)
+        assert runs["step"] == runs["scalar"], f"{kind}/{model}/{mix}"
+
+    def test_capacity_one_memo_eviction_mid_cycle(self, mini_db4):
+        """A capacity-1 memo evicts cycle entries between observes."""
+        runs = _runs_by_mode(
+            mini_db4, "rm3", "Model3", APPS4, horizon=24, local_memo_capacity=1
+        )
+        assert runs["step"] == runs["scalar"]
+
+    def test_oracle_model_phase_crossings(self, mini_db4):
+        """The Perfect model reads the entering phase record at every
+        crossing; both loops must hand it the same one."""
+        runs = _runs_by_mode(mini_db4, "rm3", "Perfect", APPS4, horizon=24)
+        assert runs["step"] == runs["scalar"]
+
+    def test_no_compiler_step_matches(self, mini_db4, monkeypatch):
+        """Without the compiled kernels ``step`` keeps its NumPy
+        combine and advance paths — still bit-identical."""
+        step = _run(mini_db4, "rm3", "Model3", "step", APPS4)
+        monkeypatch.setattr(_native_opt, "_lib", None)
+        monkeypatch.setattr(_native_opt, "_lib_failed", True)
+        assert _run(mini_db4, "rm3", "Model3", "step", APPS4) == step
+
+
+#: Canonical-suite ``fig9 --quick`` specs whose RM3 decisions near the
+#: horizon are sensitive to event-loop details (an extra RM invocation
+#: changes the result), on models no mini-suite differential pairs
+#: with RM3: Model2 (fingerprint ``5b71eb02…``) and Model1
+#: (``97ed7977…``).
+CANONICAL_REGRESSIONS = {
+    "Model2-5b71eb02": ("Model2", ("h264ref", "cactusADM", "bzip2", "hmmer")),
+    "Model1-97ed7977": ("Model1", ("xalancbmk", "leslie3d", "mcf", "soplex")),
+}
+
+
+class TestCanonicalRegressions:
+    @pytest.mark.parametrize("case", sorted(CANONICAL_REGRESSIONS))
+    def test_scalar_equals_step(self, full_db, case):
+        from dataclasses import replace
+
+        from repro.campaign import RunSpec
+        from repro.campaign.executor import _simulate
+
+        model, apps = CANONICAL_REGRESSIONS[case]
+        spec = RunSpec(
+            seed=2020, n_cores=4, rm_kind="rm3", model=model, apps=apps,
+            horizon_intervals=12, charge_overheads=True,
+        )
+        runs = {wave: _simulate(replace(spec, wave=wave)) for wave in WAVE_MODES}
+        assert runs["step"] == runs["scalar"]
+        assert result_to_json(runs["step"]) == result_to_json(runs["scalar"])
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +786,38 @@ class TestSpecWaveKnob:
         src = inspect.getsource(type(a).fingerprint.fget)
         assert "wave" not in src
         assert a.wave is None and b.wave == "scalar"
+
+    def test_wave_excluded_from_fingerprint(self):
+        from repro.campaign.spec import RunSpec
+
+        fps = {
+            RunSpec(
+                seed=2020, n_cores=4, rm_kind="rm3", model="Model3",
+                apps=("mcf", "omnetpp", "libquantum", "xalancbmk"),
+                horizon_intervals=4, wave=wave,
+            ).fingerprint
+            for wave in (None,) + WAVE_MODES
+        }
+        assert len(fps) == 1
+
+    def test_retired_native_mode_rejected(self, mini_db, system2):
+        from repro.campaign.spec import RunSpec
+
+        with pytest.raises(ValueError, match="unknown wave mode 'native'"):
+            RunSpec(
+                seed=1, n_cores=1, rm_kind="idle", model=None, apps=("x",),
+                wave="native",
+            )
+        with pytest.raises(ValueError, match="unknown wave mode 'native'"):
+            MulticoreRMSimulator(mini_db, IdleRM(system2), wave="native")
+
+    def test_retired_native_mode_rejected_by_cli(self, capsys):
+        from repro.cli import main as cli_main
+
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["fig2", "--quick", "--wave", "native"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'native'" in capsys.readouterr().err
 
     def test_wave_validated(self):
         from repro.campaign.spec import RunSpec
