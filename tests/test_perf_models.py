@@ -127,21 +127,23 @@ class TestStatsMirror:
     def test_prediction_matrix_matches_model_classes(
         self, mini_db, system2, model_cls
     ):
-        from repro.analysis.stats import _flatten_settings, _prediction_matrix
+        from repro.analysis.stats import _prediction_matrix, _SettingGrid
 
         rec = mini_db.record("mini_csps", 0)
-        pred, pred_base = _prediction_matrix(rec, system2, model_cls.name)
-        cc, ff, ww = _flatten_settings(system2)
+        grid = _SettingGrid.of(system2)
+        cc, ff, wi = grid.cc, grid.ff, grid.wi
+        pred, pred_base = _prediction_matrix(
+            rec, grid, model_cls.name, np.arange(grid.size)
+        )
         freqs = system2.candidate_frequencies()
         model = model_cls()
         rng = np.random.default_rng(3)
         for k in rng.integers(0, cc.size, size=6):
-            current = Setting(CoreSize(int(cc[k])), float(freqs[ff[k]]), int(ww[k]))
+            current = Setting(CoreSize(int(cc[k])), float(freqs[ff[k]]), int(wi[k]) + 1)
             inp = ModelInputs(counters=rec.counters_at(current), atd=rec.atd_report())
-            grid = model.predict_time_grid(inp, system2)
-            for j in rng.integers(0, cc.size, size=6):
-                expected = grid[int(cc[j]), int(ff[j]), int(ww[j]) - 1]
-                assert pred[k, j] == pytest.approx(float(expected), rel=1e-9)
+            grid_k = model.predict_time_grid(inp, system2)
+            expected = grid_k[cc, ff, wi]  # every target column
+            assert pred[k] == pytest.approx(expected, rel=1e-9)
             assert pred_base[k] == pytest.approx(
                 model.predict_baseline_time(inp, system2), rel=1e-9
             )
