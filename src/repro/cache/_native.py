@@ -1,8 +1,12 @@
-"""Optional compiled trace kernels: LRU replay and the leading-miss lanes.
+"""Optional compiled trace kernels: LRU replay, address realisation and
+the leading-miss lanes.
 
-Three sequential recurrences over an access stream resist NumPy because
+Four sequential recurrences over an access stream resist NumPy because
 each step depends on the previous one:
 
+* ``realise`` — the trace generator's address realisation
+  (:func:`repro.trace.generator.realise_loop`): per-set LRU stacks that
+  move the line at each target recency to the top, or push a fresh tag;
 * ``replay`` — the per-set stack-distance walk behind
   :mod:`repro.cache.replay` (a straight transcription of
   :meth:`repro.cache.lru.LRUStack.access`);
@@ -13,7 +17,7 @@ each step depends on the previous one:
   :meth:`repro.atd.mlp.MLPCounterArray.observe_many`, walked in arrival
   order with wrapped instruction indices and saturating counters.
 
-All three live in one C translation unit, built on demand with the system
+All four live in one C translation unit, built on demand with the system
 C compiler and loaded through :mod:`ctypes`.  Each is bit-for-bit
 equivalent to its Python counterpart (asserted by the differential
 tests).  Compilation happens at most once per source revision: the shared
@@ -24,7 +28,7 @@ builder workers cannot race.
 Everything degrades gracefully: no compiler, a failed compile, or
 ``REPRO_NO_NATIVE=1`` simply make :func:`available` return ``False``; the
 ``auto`` replay engine then falls back to the ``LRUStack`` oracle and the
-two lane kernels to their Python loops.  No exception escapes from here during
+other three kernels to their Python loops.  No exception escapes from here during
 normal engine resolution.
 """
 
@@ -39,7 +43,13 @@ import numpy as np
 
 from repro.util.nativebuild import build_shared
 
-__all__ = ["available", "native_leading_matrix", "native_mlp_lanes", "native_replay"]
+__all__ = [
+    "available",
+    "native_leading_matrix",
+    "native_mlp_lanes",
+    "native_realise",
+    "native_replay",
+]
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -69,6 +79,36 @@ void replay(const int32_t* set_index, const int64_t* tags,
             st[0] = tag;
             rec[k] = (int16_t)(pos + 1);
         }
+    }
+}
+
+/* Address realisation of the trace generator: per-set LRU stacks of
+ * exactly depth lines, pre-warmed with negative tags.  A target recency r
+ * in 1..depth moves the line at position r - 1 to the top; anything else
+ * (FRESH) pushes a new tag and drops the bottom line. */
+void realise(const int32_t* sets, const int64_t* target, int64_t n,
+             int32_t n_sets, int32_t depth,
+             int64_t* stacks, int64_t* tags, int16_t* realised)
+{
+    for (int64_t i = 0; i < (int64_t)n_sets * depth; i++) stacks[i] = -(i + 1);
+    int64_t next_tag = 1;
+    for (int64_t k = 0; k < n; k++) {
+        int64_t* st = stacks + (int64_t)sets[k] * depth;
+        int64_t r = target[k];
+        int64_t tag;
+        int32_t top;
+        if (r > 0 && r <= depth) {
+            top = (int32_t)r - 1;
+            tag = st[top];
+            realised[k] = (int16_t)r;
+        } else {
+            top = depth - 1;
+            tag = next_tag++;
+            realised[k] = 0; /* FRESH */
+        }
+        for (int32_t d = top; d > 0; d--) st[d] = st[d - 1];
+        st[0] = tag;
+        tags[k] = tag;
     }
 }
 
@@ -195,6 +235,17 @@ def _load() -> Optional[ctypes.CDLL]:
             ctypes.c_void_p,  # lens (int32*)
             ctypes.c_void_p,  # rec (int16*)
         ]
+        lib.realise.restype = None
+        lib.realise.argtypes = [
+            ctypes.c_void_p,  # sets (int32*)
+            ctypes.c_void_p,  # target (int64*)
+            ctypes.c_int64,  # n
+            ctypes.c_int32,  # n_sets
+            ctypes.c_int32,  # depth
+            ctypes.c_void_p,  # stacks (int64*)
+            ctypes.c_void_p,  # tags (int64*)
+            ctypes.c_void_p,  # realised (int16*)
+        ]
         lib.leading_matrix.restype = None
         lib.leading_matrix.argtypes = [
             ctypes.c_void_p,  # inst (int64*)
@@ -293,6 +344,32 @@ def native_replay(
 
 def _int64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def native_realise(
+    sets: np.ndarray, target_recency: np.ndarray, n_sets: int, depth: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Compiled body of :func:`repro.trace.generator.realise_loop`.
+
+    ``sets`` must lie in ``[0, n_sets)``.  Returns the tags (``int64``) and
+    the realised recencies (``int16``).
+    """
+    lib = _load()
+    if lib is None:
+        raise RuntimeError("native trace kernels unavailable")
+    n = len(sets)
+    sets32 = np.ascontiguousarray(sets, dtype=np.int32)
+    if n and (sets32.min() < 0 or sets32.max() >= n_sets):
+        raise ValueError("set indices must lie in [0, n_sets)")
+    stacks = np.empty(n_sets * depth, dtype=np.int64)
+    tags = np.empty(n, dtype=np.int64)
+    realised = np.empty(n, dtype=np.int16)
+    target = _int64(target_recency)
+    lib.realise(
+        sets32.ctypes.data, target.ctypes.data, n, n_sets, depth,
+        stacks.ctypes.data, tags.ctypes.data, realised.ctypes.data,
+    )
+    return tags, realised
 
 
 def native_leading_matrix(

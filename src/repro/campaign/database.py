@@ -3,8 +3,9 @@
 Phase records do not depend on the core count (grids span the full
 per-core setting space; the way budget only matters to the optimiser), so
 one build per seed is re-bound to every requested system.  The first
-request for a seed pays the build (or the on-disk ``.npz`` load); any
-later core count — larger or smaller — reuses those records.
+request for a seed in a process loads the seed's one on-disk records file
+(or pays the build that writes it); any later core count — larger or
+smaller — reuses those records in memory and writes nothing.
 
 This cache serves the *canonical* calibrated suite only (the suite
 :class:`~repro.campaign.spec.RunSpec` fingerprints assert); custom suites
@@ -18,6 +19,7 @@ from typing import Dict, Tuple
 
 from repro.config import default_system
 from repro.database.builder import SimDatabase, build_database
+from repro.database.store import load_cached_database
 from repro.workloads.suite import spec_suite
 
 __all__ = ["get_database", "clear_database_cache"]
@@ -30,43 +32,26 @@ def get_database(n_cores: int, seed: int = 2020) -> SimDatabase:
 
     Any cached build with the same seed — regardless of the core count it
     was first requested for — donates its records; only the system binding
-    changes.  Requesting 8 cores before 4 therefore builds exactly once.
+    changes.  Requesting 8 cores before 4 therefore builds exactly once,
+    and a process that finds the seed's records file on disk loads it
+    without building at all.
     """
     key = (n_cores, seed)
     if key in _DB_CACHE:
         return _DB_CACHE[key]
+    system = default_system(n_cores)
     base = next(
         (db for (_n, s), db in _DB_CACHE.items() if s == seed), None
     )
     if base is not None:
-        db = SimDatabase(
-            system=default_system(n_cores), apps=base.apps, records=base.records
-        )
-        _persist_rebinding(db, seed)
+        db = SimDatabase(system=system, apps=base.apps, records=base.records)
     else:
-        db = build_database(spec_suite(), default_system(n_cores), seed=seed)
+        suite = spec_suite()
+        db = load_cached_database(suite, system, seed)
+        if db is None:
+            db = build_database(suite, system, seed=seed)
     _DB_CACHE[key] = db
     return db
-
-
-def _persist_rebinding(db: SimDatabase, seed: int) -> None:
-    """Write a rebound database to the on-disk cache (once per system).
-
-    The disk key includes the core count, so a binding produced purely
-    in memory would otherwise be invisible to processes that cannot
-    inherit this cache — spawn-start-method pool workers, later CLI
-    invocations — forcing them into a full rebuild.
-    """
-    from repro.database.store import (
-        cache_dir,
-        database_fingerprint,
-        save_database_cache,
-    )
-
-    suite = spec_suite()
-    fp = database_fingerprint(suite, db.system, seed)
-    if not (cache_dir() / f"{fp}.npz").exists():
-        save_database_cache(db, suite, seed)
 
 
 def clear_database_cache() -> None:

@@ -1,10 +1,16 @@
 """Disk cache for simulation databases.
 
-Database builds are deterministic but take tens of seconds for the full
-27-application suite, so records are cached as a single ``.npz`` per
-(suite, system, seed) fingerprint under ``.cache/repro-db``.  The
-fingerprint hashes the *content* of the specs and configuration — any change
-to a phase parameter, a power constant or the seed produces a new key.
+Database builds are deterministic but cost a second or more for the full
+27-application suite, so their records are cached under ``.cache/repro-db``
+as one ``records-<key>.npz`` per (suite, seed).  Phase records do not
+depend on the core count, so the key (:func:`records_fingerprint`) hashes
+the *content* of the specs, the seed and the system with ``n_cores`` left
+out: any change to a phase parameter, a power constant or the seed produces
+a new key, while every core count loads the same file and binds its own
+system to the records.
+
+:func:`database_fingerprint` keeps identifying one (suite, system, seed)
+build, core count included; campaign result fingerprints fold it in.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ __all__ = [
     "cache_dir",
     "database_fingerprint",
     "load_cached_database",
+    "records_fingerprint",
     "save_database_cache",
 ]
 
@@ -94,12 +101,9 @@ def _stable_json(obj) -> str:
     return json.dumps(normalise(raw), sort_keys=True)
 
 
-def database_fingerprint(
-    suite: Sequence[AppSpec], system: SystemConfig, seed: int
-) -> str:
-    """Content hash identifying one database build."""
+def _content_hash(tag: str, system, suite: Sequence[AppSpec], seed: int) -> str:
     h = hashlib.blake2b(digest_size=16)
-    h.update(f"v{CODE_VERSION}".encode())
+    h.update(tag.encode())
     h.update(_stable_json(system).encode())
     h.update(str(seed).encode())
     for spec in suite:
@@ -107,17 +111,37 @@ def database_fingerprint(
     return h.hexdigest()
 
 
+def database_fingerprint(
+    suite: Sequence[AppSpec], system: SystemConfig, seed: int
+) -> str:
+    """Content hash identifying one database build."""
+    return _content_hash(f"v{CODE_VERSION}", system, suite, seed)
+
+
+def records_fingerprint(
+    suite: Sequence[AppSpec], system: SystemConfig, seed: int
+) -> str:
+    """Content hash of the records one build produces, for any core count.
+
+    :func:`database_fingerprint` with ``n_cores`` left out of the system.
+    """
+    unbound = {k: v for k, v in asdict(system).items() if k != "n_cores"}
+    return _content_hash(f"records-v{CODE_VERSION}", unbound, suite, seed)
+
+
+def _records_file(suite: Sequence[AppSpec], system: SystemConfig, seed: int) -> Path:
+    return cache_dir() / f"records-{records_fingerprint(suite, system, seed)}.npz"
+
+
 def save_database_cache(db, suite: Sequence[AppSpec], seed: int) -> Optional[Path]:
     """Persist all records of a database; returns the file path or None."""
     if os.environ.get(_ENV_DISABLE):
         return None
-    path = cache_dir()
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        cache_dir().mkdir(parents=True, exist_ok=True)
     except OSError:
         return None
-    key = database_fingerprint(suite, db.system, seed)
-    file = path / f"{key}.npz"
+    file = _records_file(suite, db.system, seed)
     payload = {}
     meta = {}
     for app, records in db.records.items():
@@ -145,7 +169,7 @@ def save_database_cache(db, suite: Sequence[AppSpec], seed: int) -> Optional[Pat
 def load_cached_database(
     suite: Sequence[AppSpec], system: SystemConfig, seed: int
 ):
-    """Load a cached database if present; None on any miss or error.
+    """Load the cached records bound to ``system``; None on any miss or error.
 
     A damaged file (truncated, not a zip, bad CRC or missing fields) is
     moved to ``<cache>/quarantine/`` so the caller's rebuild replaces it
@@ -155,8 +179,7 @@ def load_cached_database(
         return None
     from repro.database.builder import SimDatabase
 
-    key = database_fingerprint(suite, system, seed)
-    file = cache_dir() / f"{key}.npz"
+    file = _records_file(suite, system, seed)
     if not file.exists():
         return None
     try:

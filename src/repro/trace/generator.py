@@ -17,6 +17,15 @@ The generator realises a :class:`~repro.trace.spec.PhaseSpec` as a concrete
 4. **Arrival order** — dependent accesses are delayed a few stream positions
    to emulate out-of-order completion; this is the signal the paper's Fig. 4
    heuristic uses to infer dependences at the ATD.
+
+No stage loops over accesses in Python.  Positions take one
+standard-exponential draw per access (:func:`burst_positions`), and the
+dependence depth behind the arrival order is a run length.  The per-set
+LRU walk of step 2 runs in the compiled ``realise`` kernel of
+:mod:`repro.cache._native`.  :func:`realise_loop` is its no-compiler path
+(also taken under ``REPRO_NO_NATIVE=1``) and its oracle.  Every stream must
+stay byte-identical to the per-burst and per-access reference loops of the
+differential tests, which consume the bit generator draw for draw.
 """
 
 from __future__ import annotations
@@ -144,26 +153,7 @@ class PhaseTraceGenerator:
         # Sample burst lengths (geometric with the requested mean >= 1).
         p = min(1.0, 1.0 / b)
         lengths = rng.geometric(p, size=max(16, int(2 * n / b) + 16))
-        gaps = np.empty(n, dtype=np.float64)
-        lead = np.zeros(n, dtype=bool)
-        pos = 0
-        for blen in lengths:
-            blen = int(min(blen, n - pos))
-            if blen <= 0:
-                break
-            # first access of the burst pays the inter-burst gap
-            gaps[pos] = rng.exponential(inter)
-            lead[pos] = True
-            if blen > 1:
-                gaps[pos + 1 : pos + blen] = rng.exponential(intra, size=blen - 1)
-            pos += blen
-            if pos >= n:
-                break
-        if pos < n:  # extremely unlikely; fill remainder as singleton bursts
-            gaps[pos:] = rng.exponential(inter, size=n - pos)
-            lead[pos:] = True
-        inst = np.cumsum(np.maximum(1, np.round(gaps)).astype(np.int64))
-        return inst, lead
+        return burst_positions(lengths, n, inter, intra, rng)
 
     def _realise_addresses(
         self, target_recency: np.ndarray, rng: np.random.Generator
@@ -174,32 +164,17 @@ class PhaseTraceGenerator:
         first accesses can realise deep recencies; warm-up lines use the
         negative tag space and never collide with generated fresh lines.
         """
+        # Deferred: repro.cache imports this module (IntervalTrace).
+        from repro.cache import _native
+
         n = len(target_recency)
         sets = rng.integers(0, self.n_sets, size=n).astype(np.int32)
-        tags = np.empty(n, dtype=np.int64)
-        realised = np.empty(n, dtype=np.int16)
-
-        stacks: list[list[int]] = [
-            [-(s * STACK_DEPTH + d + 1) for d in range(STACK_DEPTH)]
-            for s in range(self.n_sets)
-        ]
-        next_tag = 1
-
-        for k in range(n):
-            stack = stacks[sets[k]]
-            r = int(target_recency[k])
-            if r != FRESH and r <= len(stack):
-                tag = stack.pop(r - 1)
-                stack.insert(0, tag)
-                tags[k] = tag
-                realised[k] = r
-            else:
-                tag = next_tag
-                next_tag += 1
-                stack.insert(0, tag)
-                del stack[STACK_DEPTH:]
-                tags[k] = tag
-                realised[k] = FRESH
+        if _native.available():
+            tags, realised = _native.native_realise(
+                sets, target_recency, self.n_sets, STACK_DEPTH
+            )
+        else:
+            tags, realised = realise_loop(sets, target_recency, self.n_sets)
         return sets, tags, realised
 
     def _dependences(
@@ -239,15 +214,74 @@ class PhaseTraceGenerator:
         producer latency.  Keys are ranked stably so equal keys keep program
         order.
         """
-        keys = np.arange(n, dtype=np.float64)
+        idx = np.arange(n, dtype=np.int64)
+        if np.any((dep_prev != -1) & (dep_prev != idx - 1)):
+            raise ValueError("dependences must link access k to k-1 or be -1")
+        keys = idx.astype(np.float64)
         if spec.dep_arrival_delay > 0 and n:
-            depth = np.zeros(n, dtype=np.int64)
-            dep = dep_prev
-            for k in range(n):
-                d = dep[k]
-                if d >= 0:
-                    depth[k] = depth[d] + 1
+            # Links only ever join k to k-1, so an access's depth is its
+            # distance from the last independent access at or before it.
+            depth = idx - np.maximum.accumulate(np.where(dep_prev < 0, idx, 0))
             keys += depth * spec.dep_arrival_delay + np.where(depth > 0, 0.5, 0.0)
         ranks = np.empty(n, dtype=np.int64)
         ranks[np.argsort(keys, kind="stable")] = np.arange(n)
         return ranks
+
+
+def burst_positions(
+    lengths: np.ndarray,
+    n: int,
+    inter: float,
+    intra: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lay ``n`` accesses out in bursts of the given ``lengths``.
+
+    Each burst's lead access pays an exponential gap of mean ``inter``,
+    every other access one of mean ``intra``; positions past
+    ``sum(lengths)`` become singleton bursts.  One standard-exponential
+    draw per position, in order, so the generator advances exactly as a
+    per-burst sequence of ``rng.exponential`` calls would.  Returns the
+    instruction indices and the burst-lead mask.
+    """
+    starts = np.cumsum(lengths) - lengths
+    lead = np.zeros(n, dtype=bool)
+    lead[starts[starts < n]] = True
+    lead[int(np.sum(lengths)) :] = True
+    gaps = rng.standard_exponential(n) * np.where(lead, inter, intra)
+    inst = np.cumsum(np.maximum(1, np.round(gaps)).astype(np.int64))
+    return inst, lead
+
+
+def realise_loop(
+    sets: np.ndarray, target_recency: np.ndarray, n_sets: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Python body of :meth:`PhaseTraceGenerator._realise_addresses`.
+
+    The no-compiler path and the oracle of the compiled ``realise``
+    kernel.  Returns the tags and the realised recencies.
+    """
+    n = len(target_recency)
+    tags = np.empty(n, dtype=np.int64)
+    realised = np.empty(n, dtype=np.int16)
+    stacks: list[list[int]] = [
+        [-(s * STACK_DEPTH + d + 1) for d in range(STACK_DEPTH)]
+        for s in range(n_sets)
+    ]
+    next_tag = 1
+    for k in range(n):
+        stack = stacks[sets[k]]
+        r = int(target_recency[k])
+        if r != FRESH and r <= len(stack):
+            tag = stack.pop(r - 1)
+            stack.insert(0, tag)
+            tags[k] = tag
+            realised[k] = r
+        else:
+            tag = next_tag
+            next_tag += 1
+            stack.insert(0, tag)
+            del stack[STACK_DEPTH:]
+            tags[k] = tag
+            realised[k] = FRESH
+    return tags, realised

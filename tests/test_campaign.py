@@ -93,6 +93,27 @@ class TestRunSpec:
         assert _spec(alpha=1.1).fingerprint != base
         assert _spec(seed=7).fingerprint != base
 
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            (
+                RunSpec(seed=SEED, n_cores=64, rm_kind="rm3", model="Model3",
+                        apps=("mcf", "soplex") * 32),
+                "6bbb9a1fb51bb06499a0fe88dbdb79d1",
+            ),
+            (
+                RunSpec(seed=SEED, n_cores=4, rm_kind="idle", model=None,
+                        apps=("mcf", "soplex", "hmmer", "astar")),
+                "e662c9dbe99114958d2c72039f79752b",
+            ),
+        ],
+        ids=["rm3-64", "idle-4"],
+    )
+    def test_fingerprint_pinned(self, spec, expected):
+        """Result fingerprints name stored results across code revisions:
+        changing how database records are stored must not move them."""
+        assert spec.fingerprint == expected
+
     def test_alpha_one_is_canonicalised(self):
         assert _spec(alpha=1.0).alpha is None
         assert _spec(alpha=1.0).fingerprint == _spec().fingerprint
@@ -141,8 +162,8 @@ class TestDatabaseRebinding:
         monkeypatch.setattr(
             campaign_database, "build_database", self._fake_build(calls)
         )
-        # rebindings persist to the disk cache; point it away from the
-        # real one so the fake (empty) databases cannot pollute it
+        # the first request looks for records on disk; point the cache
+        # away from the real one so it misses and the fake build runs
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         campaign_database.clear_database_cache()
         try:
@@ -155,6 +176,32 @@ class TestDatabaseRebinding:
             # a different seed is a genuinely new build
             get_database(4, seed=32)
             assert calls == [(8, 31), (4, 32)]
+        finally:
+            campaign_database.clear_database_cache()
+
+    def test_one_records_file_serves_every_core_count(self, monkeypatch, tmp_path):
+        """Bindings at 2-64 cores leave one records file on disk, and a
+        process that finds it loads any core count without building."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        campaign_database.clear_database_cache()
+        try:
+            built = {n: get_database(n, SEED) for n in (2, 4, 8, 64)}
+            assert [p.name for p in tmp_path.glob("*.npz")] == [
+                p.name for p in tmp_path.glob("records-*.npz")
+            ]
+            assert len(list(tmp_path.glob("*.npz"))) == 1
+
+            campaign_database.clear_database_cache()
+
+            def no_build(*_a, **_k):
+                raise AssertionError("records file was not loaded")
+
+            monkeypatch.setattr(campaign_database, "build_database", no_build)
+            db64 = get_database(64, SEED)
+            assert db64.system.n_cores == 64
+            assert db64.content_fingerprint == built[64].content_fingerprint
+            assert len(list(tmp_path.glob("*.npz"))) == 1
         finally:
             campaign_database.clear_database_cache()
 

@@ -14,6 +14,7 @@ from repro.database.builder import (
 from repro.database.store import (
     database_fingerprint,
     load_cached_database,
+    records_fingerprint,
     save_database_cache,
 )
 
@@ -172,12 +173,34 @@ class TestStore:
         assert path is not None and path.exists()
         loaded = load_cached_database(mini_suite(), system2, 7)
         assert loaded is not None
-        a = mini_db.record("mini_cips", 0)
-        b = loaded.record("mini_cips", 0)
-        assert np.allclose(a.time_grid, b.time_grid)
-        assert np.allclose(a.mem_energy_curve, b.mem_energy_curve)
-        assert a.phase == b.phase
-        assert b.n_instructions == a.n_instructions
+        assert loaded.content_fingerprint == mini_db.content_fingerprint
+
+    def test_records_file_is_shared_across_core_counts(
+        self, mini_db, system2, system4, tmp_path, monkeypatch
+    ):
+        """Records do not depend on the core count: one file, keyed
+        without it, loads bound to whichever system asks for it."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        assert records_fingerprint(mini_suite(), system2, 7) == records_fingerprint(
+            mini_suite(), system4, 7
+        )
+        assert records_fingerprint(mini_suite(), system2, 7) != records_fingerprint(
+            mini_suite(), system2, 8
+        )
+        # the build identity (folded into result fingerprints) still differs
+        assert database_fingerprint(mini_suite(), system2, 7) != database_fingerprint(
+            mini_suite(), system4, 7
+        )
+        path = save_database_cache(mini_db, mini_suite(), 7)
+        assert path.name.startswith("records-")
+        loaded = load_cached_database(mini_suite(), system4, 7)
+        assert loaded.system == system4
+        assert loaded.records.keys() == mini_db.records.keys()
+        for app, records in mini_db.records.items():
+            assert [r.fingerprint for r in loaded.records[app]] == [
+                r.fingerprint for r in records
+            ]
 
     def test_miss_returns_none(self, system2, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -212,6 +235,20 @@ class TestStore:
         reloaded = load_cached_database(mini_suite(), system2, 7)
         assert reloaded is not None
         assert reloaded.content_fingerprint == mini_db.content_fingerprint
+
+
+class TestCanonicalBuild:
+    """The paper-scale database, pinned bit for bit (4 cores)."""
+
+    def test_seed_2020(self, full_db):
+        assert full_db.content_fingerprint == "137afeb2e3c5104230ec902645e59849"
+
+    def test_seed_7(self):
+        from repro.config import default_system
+        from repro.workloads.suite import spec_suite
+
+        db = build_database(spec_suite(), default_system(4), seed=7)
+        assert db.content_fingerprint == "935db924b4b7d763a8cde94a8f6451e4"
 
 
 @pytest.mark.skipif(not _native.available(), reason="no C compiler")
