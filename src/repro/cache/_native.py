@@ -35,12 +35,12 @@ normal engine resolution.
 from __future__ import annotations
 
 import ctypes
-import os
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.settings import Settings
 from repro.util.nativebuild import build_shared
 
 __all__ = [
@@ -200,11 +200,7 @@ _lib_failed = False
 
 
 def _cache_dir() -> Path:
-    # Deferred import: keeps this leaf module import-light and avoids any
-    # future cycle through the database package.
-    from repro.database.store import cache_dir
-
-    return cache_dir() / "native"
+    return Settings.from_env().cache_dir / "native"
 
 
 def _compile() -> Optional[Path]:
@@ -215,7 +211,7 @@ def _load() -> Optional[ctypes.CDLL]:
     global _lib, _lib_failed
     if _lib is not None or _lib_failed:
         return _lib
-    if os.environ.get("REPRO_NO_NATIVE"):
+    if Settings.from_env().no_native:
         _lib_failed = True
         return None
     so_path = _compile()

@@ -75,7 +75,6 @@ from repro.campaign.journal import (
 from repro.campaign.remote import (
     Fabric,
     fabric_status,
-    remote_enabled,
     run_remote,
     run_worker,
     spawn_local_workers,
@@ -126,7 +125,6 @@ __all__ = [
     "prune_result_cache",
     "quarantine_stats",
     "read_attestation",
-    "remote_enabled",
     "resolve_campaign_workers",
     "result_cache_dir",
     "result_from_json",

@@ -45,13 +45,13 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.spec import RESULT_VERSION, RunSpec
+from repro.settings import Settings
 from repro.util.diskcache import atomic_write_text, read_text_guarded
 
 __all__ = [
     "ATTEST_DIRNAME",
     "DIVERGENCE_DIRNAME",
     "ResultDivergenceError",
-    "VERIFY_READS_ENV",
     "attest_rel",
     "attestation_payload",
     "attestation_stats",
@@ -61,7 +61,6 @@ __all__ = [
     "quarantine_attestation",
     "read_attestation",
     "record_divergence",
-    "verify_reads_enabled",
     "verify_store",
     "write_attestation",
 ]
@@ -72,11 +71,6 @@ ATTEST_DIRNAME = "attest"
 #: Divergence-evidence directory under the result store (one directory
 #: per event, holding every contested byte version plus provenance).
 DIVERGENCE_DIRNAME = "divergence"
-
-#: Set to ``0``/``false`` to skip the read-path digest re-verification
-#: (on by default; the knob exists for A/B overhead measurement and
-#: emergency opt-out, not for production use).
-VERIFY_READS_ENV = "REPRO_VERIFY_READS"
 
 #: Digest length in bytes — matches the spec-fingerprint width so both
 #: identifiers read alike in journals and markers.
@@ -116,12 +110,6 @@ def digest_text(text: str) -> str:
     ).hexdigest()
 
 
-def verify_reads_enabled() -> bool:
-    """Whether :data:`VERIFY_READS_ENV` leaves read verification on."""
-    raw = os.environ.get(VERIFY_READS_ENV, "").strip().lower()
-    return raw not in ("0", "false", "no")
-
-
 @lru_cache(maxsize=1)
 def _host_block() -> Dict:
     """The per-process-constant half of the provenance block."""
@@ -150,11 +138,12 @@ def provenance_block(wave: Optional[str] = None) -> Dict:
     kernel availability, the event-loop mode — plus the publishing
     process/worker identity and the code's ``RESULT_VERSION``.
     """
+    settings = Settings.from_env()
     return {
         **_host_block(),
         "pid": os.getpid(),
-        "worker": os.environ.get("REPRO_WORKER_ID"),
-        "wave": wave or os.environ.get("REPRO_SIM_WAVE") or "step",
+        "worker": settings.worker_id,
+        "wave": wave or settings.sim_wave,
         "result_version": RESULT_VERSION,
         "t": time.time(),
     }

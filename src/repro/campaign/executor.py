@@ -10,9 +10,9 @@ the executor is free to partition them across a ``concurrent.futures``
 process pool: results are keyed by fingerprint, making the outcome
 bit-identical for any worker count, including serial.  Worker count
 resolves from the explicit ``n_workers`` argument, then the
-``REPRO_CAMPAIGN_WORKERS`` environment variable, then an automatic rule
-that only engages the pool for campaigns big enough to amortise process
-startup and the per-worker database load.
+``campaign_workers`` setting (:mod:`repro.settings`), then an automatic
+rule that only engages the pool for campaigns big enough to amortise
+process startup and the per-worker database load.
 
 The same content-addressing is what makes the executor *fault-tolerant*
 without ever compromising the bit-identical-results contract: any spec
@@ -20,16 +20,16 @@ may be attempted any number of times, in any process, in any order — the
 first successful attempt's result is the (unique, deterministic) answer.
 On top of that invariant sit
 
-* per-spec timeouts (``REPRO_SPEC_TIMEOUT``, enforced worker-side via a
-  SIGALRM deadline so even a hung simulation turns into a retryable
-  failure),
+* per-spec timeouts (the ``spec_timeout`` setting, enforced worker-side
+  via a SIGALRM deadline so even a hung simulation turns into a
+  retryable failure),
 * bounded retries with a deterministic, jitter-free exponential backoff
-  (``REPRO_SPEC_RETRIES``, ``REPRO_RETRY_BACKOFF``),
+  (:data:`SPEC_RETRIES`, :data:`RETRY_BACKOFF`),
 * ``BrokenProcessPool`` recovery: the pool is rebuilt and only the
-  unfinished specs are re-dispatched; after ``REPRO_POOL_FAILURES``
+  unfinished specs are re-dispatched; after :data:`POOL_FAILURES`
   breakages execution degrades gracefully to serial,
 * straggler re-dispatch: a spec running longer than
-  ``REPRO_STRAGGLER_FACTOR`` times the median completed runtime is
+  :data:`STRAGGLER_FACTOR` times the median completed runtime is
   speculatively resubmitted (duplicates are harmless — results are
   content-addressed and identical),
 * a crash-safe run journal (:mod:`repro.campaign.journal`) whenever an
@@ -39,8 +39,7 @@ On top of that invariant sit
   every finished result to the store/journal and prints a resume hint.
 
 Deterministic fault injection for all of these paths lives in
-:mod:`repro.util.faults` (``REPRO_FAULT_PLAN``); with it unset the hooks
-cost one dict probe each.
+:mod:`repro.util.faults`; with no fault plan set the hooks do nothing.
 """
 
 from __future__ import annotations
@@ -64,14 +63,13 @@ from repro.campaign.results import (
     cached_result,
     memoize_result,
     prune_result_cache,
-    result_cache_dir,
-    result_cache_max_mb,
     store_result,
 )
 from repro.campaign.spec import MODEL_NAMES, RunSpec
-from repro.core.local_cache import local_memo_max_mb, prune_local_memo
+from repro.core.local_cache import prune_local_memo
 from repro.core.managers import ResourceManager, make_rm
 from repro.core.qos import QoSPolicy
+from repro.settings import Settings
 from repro.simulator.metrics import SimResult
 from repro.simulator.rmsim import MulticoreRMSimulator
 from repro.util import faults
@@ -88,30 +86,21 @@ __all__ = [
     "run_campaign",
 ]
 
-#: Environment override for the campaign worker count.
-WORKERS_ENV = "REPRO_CAMPAIGN_WORKERS"
-
-#: Per-spec wall-clock timeout in seconds (unset/0 = none).  Enforced in
-#: the executing process via SIGALRM, so a hung spec becomes a retryable
-#: :class:`SpecTimeout` instead of stalling the campaign forever.
-SPEC_TIMEOUT_ENV = "REPRO_SPEC_TIMEOUT"
-
-#: Retries per spec after its first failed attempt (default 2).
-SPEC_RETRIES_ENV = "REPRO_SPEC_RETRIES"
+#: Retries per spec after its first failed attempt.
+SPEC_RETRIES = 2
 
 #: Base of the deterministic exponential backoff schedule in seconds
-#: (delay before attempt k+1 = base * 2**(k-1); default 0.05, no jitter —
-#: schedules must replay identically).
-RETRY_BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
+#: (delay before attempt k+1 = base * 2**(k-1); no jitter — schedules
+#: must replay identically).
+RETRY_BACKOFF = 0.05
 
-#: Pool breakages tolerated before degrading to serial execution
-#: (default 3).
-POOL_FAILURES_ENV = "REPRO_POOL_FAILURES"
+#: Pool breakages tolerated before degrading to serial execution.
+POOL_FAILURES = 3
 
 #: Straggler multiple: a spec in flight longer than this factor times the
-#: median completed runtime is speculatively re-dispatched (default 8;
-#: 0 disables).  Duplicates are correctness-free: first finish wins.
-STRAGGLER_FACTOR_ENV = "REPRO_STRAGGLER_FACTOR"
+#: median completed runtime is speculatively re-dispatched.  Duplicates
+#: are correctness-free: first finish wins.
+STRAGGLER_FACTOR = 8.0
 
 #: Auto mode engages the pool only for at least this many pending runs.
 _AUTO_POOL_MIN_RUNS = 16
@@ -129,7 +118,7 @@ _STRAGGLER_FLOOR_S = 5.0
 
 
 class SpecTimeout(RuntimeError):
-    """A spec exceeded ``REPRO_SPEC_TIMEOUT`` (retryable)."""
+    """A spec exceeded the ``spec_timeout`` setting (retryable)."""
 
 
 class CampaignExecutionError(RuntimeError):
@@ -143,49 +132,6 @@ class CampaignExecutionError(RuntimeError):
         if journal_path:
             lines.append(f"journal: {journal_path}")
         super().__init__("\n".join(lines))
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def spec_timeout() -> Optional[float]:
-    """The per-spec timeout in seconds, or None when disabled."""
-    value = _env_float(SPEC_TIMEOUT_ENV, 0.0)
-    return value if value > 0 else None
-
-
-def spec_retries() -> int:
-    return max(0, _env_int(SPEC_RETRIES_ENV, 2))
-
-
-def retry_backoff() -> float:
-    return max(0.0, _env_float(RETRY_BACKOFF_ENV, 0.05))
-
-
-def max_pool_failures() -> int:
-    return max(0, _env_int(POOL_FAILURES_ENV, 3))
-
-
-def straggler_factor() -> Optional[float]:
-    value = _env_float(STRAGGLER_FACTOR_ENV, 8.0)
-    return value if value > 0 else None
 
 
 def make_model(name: str):
@@ -258,7 +204,7 @@ def _deadline(seconds: Optional[float]):
         return
 
     def _timed_out(signum, frame):
-        raise SpecTimeout(f"spec exceeded {seconds:g}s ({SPEC_TIMEOUT_ENV})")
+        raise SpecTimeout(f"spec exceeded {seconds:g}s (REPRO_SPEC_TIMEOUT)")
 
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.setitimer(signal.ITIMER_REAL, seconds)
@@ -269,33 +215,27 @@ def _deadline(seconds: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _execute_attempt(spec: RunSpec) -> SimResult:
+def _execute_attempt(spec: RunSpec, timeout: Optional[float]) -> SimResult:
     """One attempt at a spec: fault hooks + timeout around the store path."""
-    with _deadline(spec_timeout()):
+    with _deadline(timeout):
         faults.on_spec(spec.fingerprint)
         return execute_spec(spec)
 
 
 def _execute_task(spec: RunSpec) -> Tuple[str, SimResult]:
-    return spec.fingerprint, _execute_attempt(spec)
+    """Pool task: the worker inherited the parent's (validated) settings."""
+    return spec.fingerprint, _execute_attempt(
+        spec, Settings.from_env().spec_timeout
+    )
 
 
 def resolve_campaign_workers(n_workers: Optional[int], n_pending: int) -> int:
     """Worker count for a campaign with ``n_pending`` uncached runs.
 
-    Priority: explicit argument, then :data:`WORKERS_ENV`, then an
+    An explicit count is clamped to the pending runs; None selects the
     automatic rule — parallelise only when enough independent runs are
     pending for pool startup and per-worker database loads to pay off.
     """
-    if n_workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        if env:
-            try:
-                n_workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{WORKERS_ENV} must be an integer, got {env!r}"
-                ) from None
     if n_workers is None:
         if n_pending >= _AUTO_POOL_MIN_RUNS:
             n_workers = min(os.cpu_count() or 1, 8)
@@ -400,10 +340,10 @@ class _ExecState:
         return base * (2.0 ** (self.attempts.get(fp, 1) - 1))
 
 
-def _run_serial(specs: Sequence[RunSpec], state: _ExecState) -> None:
+def _run_serial(
+    specs: Sequence[RunSpec], state: _ExecState, timeout: Optional[float]
+) -> None:
     """Serial driver: per-spec timeout + bounded deterministic retries."""
-    retries = spec_retries()
-    base = retry_backoff()
     for spec in specs:
         fp = spec.fingerprint
         if fp in state.results:
@@ -411,13 +351,13 @@ def _run_serial(specs: Sequence[RunSpec], state: _ExecState) -> None:
         while True:
             t0 = time.monotonic()
             try:
-                result = _execute_attempt(spec)
+                result = _execute_attempt(spec, timeout)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
-                if not state.record_failure(fp, exc, retries):
+                if not state.record_failure(fp, exc, SPEC_RETRIES):
                     break
-                time.sleep(state.backoff_delay(fp, base))
+                time.sleep(state.backoff_delay(fp, RETRY_BACKOFF))
                 continue
             state.results[fp] = result
             state.record_done(fp, time.monotonic() - t0)
@@ -426,7 +366,10 @@ def _run_serial(specs: Sequence[RunSpec], state: _ExecState) -> None:
 
 
 def _run_pool(
-    ordered: Sequence[RunSpec], workers: int, state: _ExecState
+    ordered: Sequence[RunSpec],
+    workers: int,
+    state: _ExecState,
+    timeout: Optional[float],
 ) -> None:
     """Pool driver: retries, pool rebuilds, stragglers, serial fallback.
 
@@ -436,12 +379,6 @@ def _run_pool(
     successful attempt *is* the answer.
     """
     import heapq
-
-    retries = spec_retries()
-    base = retry_backoff()
-    timeout = spec_timeout()
-    factor = straggler_factor()
-    max_fail = max_pool_failures()
 
     remaining: Dict[str, RunSpec] = {
         s.fingerprint: s for s in ordered if s.fingerprint not in state.results
@@ -501,12 +438,12 @@ def _run_pool(
                 except KeyboardInterrupt:
                     raise
                 except Exception as exc:
-                    if state.record_failure(fp, exc, retries):
+                    if state.record_failure(fp, exc, SPEC_RETRIES):
                         heapq.heappush(
                             retry_at,
                             (
                                 time.monotonic()
-                                + state.backoff_delay(fp, base),
+                                + state.backoff_delay(fp, RETRY_BACKOFF),
                                 fp,
                             ),
                         )
@@ -533,7 +470,7 @@ def _run_pool(
             if broken:
                 broken = False
                 state.pool_failures += 1
-                degrade = state.pool_failures > max_fail
+                degrade = state.pool_failures > POOL_FAILURES
                 if state.journal is not None:
                     state.journal.pool_failure(state.pool_failures, degrade)
                 pool.shutdown(wait=False, cancel_futures=True)
@@ -543,7 +480,7 @@ def _run_pool(
                 if degrade:
                     # Graceful degradation: finish the remainder serially
                     # in this process — slower, but immune to pool decay.
-                    _run_serial(list(remaining.values()), state)
+                    _run_serial(list(remaining.values()), state, timeout)
                     return
                 pool = ProcessPoolExecutor(
                     max_workers=workers, initializer=_worker_init
@@ -560,13 +497,9 @@ def _run_pool(
                     broken = True
                     heapq.heappush(retry_at, (now, fp))
                     break
-            if (
-                factor is not None
-                and inflight
-                and len(state.durations) >= _STRAGGLER_MIN_SAMPLES
-            ):
+            if inflight and len(state.durations) >= _STRAGGLER_MIN_SAMPLES:
                 threshold = max(
-                    factor * statistics.median(state.durations),
+                    STRAGGLER_FACTOR * statistics.median(state.durations),
                     _STRAGGLER_FLOOR_S,
                 )
                 for fut, fp in list(inflight.items()):
@@ -648,36 +581,17 @@ class Campaign:
         resumable: re-running the same plan after a crash or interrupt
         picks up exactly where it died.
         """
-        # Resolve every env knob up-front: a malformed
-        # REPRO_RESULT_CACHE_MAX_MB / REPRO_SPEC_TIMEOUT / ... must fail
-        # before hours of simulation, not mid-campaign.
+        # Resolve every knob up-front: a malformed value must fail before
+        # hours of simulation, not mid-campaign.
         from repro.campaign import remote
 
-        cache_cap_mb = result_cache_max_mb()
-        memo_cap_mb = local_memo_max_mb()
-        for knob in (
-            spec_timeout,
-            spec_retries,
-            retry_backoff,
-            max_pool_failures,
-            straggler_factor,
-        ):
-            knob()
-        distributed = remote.remote_enabled()
-        if distributed:
-            if result_cache_dir() is None:
-                raise ValueError(
-                    f"{remote.REMOTE_ENV} requires a shared result store "
-                    "(set REPRO_RESULT_CACHE)"
-                )
-            for knob in (
-                remote.lease_ttl,
-                remote.lease_batch,
-                remote.remote_tick,
-                remote.remote_grace,
-                remote.suspect_strikes,
-            ):
-                knob()
+        settings = Settings.from_env()
+        distributed = settings.remote
+        if distributed and settings.result_cache is None:
+            raise ValueError(
+                "REPRO_REMOTE requires a shared result store "
+                "(set REPRO_RESULT_CACHE)"
+            )
         specs = self.unique_specs
         results: Dict[str, SimResult] = {}
         pending: List[RunSpec] = []
@@ -688,11 +602,14 @@ class Campaign:
             else:
                 pending.append(spec)
 
-        workers = resolve_campaign_workers(n_workers, len(pending))
-        if distributed:
+        workers = resolve_campaign_workers(
+            n_workers if n_workers is not None else settings.campaign_workers,
+            len(pending),
+        )
+        if distributed and settings.remote_workers is not None:
             # In remote mode "workers" means fabric workers to spawn
             # (0 = external workers registered via `campaign --work`).
-            workers = remote.remote_workers(workers)
+            workers = settings.remote_workers
         # Sorted (seed, n_cores) order keeps each worker's database
         # loads/rebinds few and makes the dispatch order — and with it
         # any ``spec=N`` fault-plan ordinal — deterministic.
@@ -701,7 +618,7 @@ class Campaign:
         )
         journal = (
             CampaignJournal.for_campaign(
-                result_cache_dir(), [s.fingerprint for s in specs]
+                settings.result_cache, [s.fingerprint for s in specs]
             )
             if pending
             else None
@@ -718,7 +635,7 @@ class Campaign:
         faults.prepare_for_campaign([s.fingerprint for s in ordered])
         try:
             if distributed and pending:
-                remote.run_remote(ordered, state, workers)
+                remote.run_remote(ordered, state, workers, settings)
             elif workers > 1 and len(pending) > 1:
                 # Warm every needed database in the parent first: each
                 # build happens once (and lands in the on-disk cache)
@@ -728,9 +645,9 @@ class Campaign:
                     {(s.n_cores, s.seed) for s in pending}
                 ):
                     get_database(n_cores, seed)
-                _run_pool(ordered, workers, state)
+                _run_pool(ordered, workers, state, settings.spec_timeout)
             else:
-                _run_serial(ordered, state)
+                _run_serial(ordered, state, settings.spec_timeout)
         except KeyboardInterrupt:
             # Workers persist each finished result to the on-disk store
             # themselves and the pool driver flushed finished futures, so
@@ -764,16 +681,16 @@ class Campaign:
         if journal is not None:
             journal.complete(done=len(state.results), failed=0)
 
-        if pending and cache_cap_mb is not None:
+        if pending and settings.result_cache_max_mb is not None:
             # Long campaigns must not grow the on-disk store without
             # bound: enforce the LRU size cap once per campaign (the
             # results just produced carry the freshest mtimes, so they
             # are the last to go).
-            prune_result_cache(cache_cap_mb)
-        if pending and memo_cap_mb is not None:
+            prune_result_cache(settings.result_cache_max_mb)
+        if pending and settings.local_memo_max_mb is not None:
             # Same policy for the persistent local-decision memo the
-            # simulations fed (REPRO_LOCAL_MEMO).
-            prune_local_memo(memo_cap_mb)
+            # simulations fed.
+            prune_local_memo(settings.local_memo_max_mb)
 
         stats = CampaignStats(
             planned=self._planned,

@@ -19,11 +19,11 @@ everything lives as small files in the shared result store, under
 ``fabric/done/<fp>.json`` / ``fabric/failed/<fp>.<attempt>.json``
     Completion / failed-attempt markers the coordinator harvests.
 ``fabric/suspects/<id>.json``
-    Workers the coordinator demoted after ``REPRO_SUSPECT_STRIKES``
+    Workers the coordinator demoted after :data:`SUSPECT_STRIKES`
     divergence events; a demoted worker stops claiming work.
 
 A lease is *live* while its worker's heartbeat is fresher than
-``REPRO_LEASE_TTL``; the coordinator breaks stale leases and the
+the ``lease_ttl`` setting; the coordinator breaks stale leases and the
 fingerprints become claimable again.  Reassignment — and any duplicate
 execution it causes (a partitioned worker keeps running) — is always
 safe: specs are deterministic and results content-addressed, so every
@@ -34,7 +34,7 @@ lets the whole transport be this simple — and since PR 10 it is
 worker computed, the coordinator cross-checks it against the stored
 bytes before harvesting, and a mismatch quarantines the evidence,
 expires the lease for re-dispatch, and (after
-:func:`suspect_strikes` divergences from one worker) demotes the
+:data:`SUSPECT_STRIKES` divergences from one worker) demotes the
 worker as suspect.
 
 Results flow through the existing crash-safe store path: file-transport
@@ -53,7 +53,7 @@ re-publishes missing tasks and harvests markers workers published while
 it was dead; a killed worker just loses its lease.
 
 With no live workers (none spawned, all dead, or all partitioned) the
-coordinator degrades gracefully: after ``REPRO_REMOTE_GRACE`` without
+coordinator degrades gracefully: after ``remote_grace`` seconds without
 progress it claims fingerprints itself — under the same lease protocol —
 and executes them inline, so ``--remote`` can never do worse than hang.
 """
@@ -82,11 +82,11 @@ from repro.campaign.results import (
     CACHE_ENV,
     cached_result,
     drop_memo_entry,
-    result_cache_dir,
     result_to_json,
 )
 from repro.campaign.spec import RunSpec
 from repro.campaign.transport import FileTransport, Transport, transport_for
+from repro.settings import Settings
 from repro.util import faults
 from repro.util.diskcache import read_text_guarded
 
@@ -96,110 +96,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "COORDINATOR_ID",
     "Fabric",
-    "LEASE_BATCH_ENV",
-    "LEASE_TTL_ENV",
-    "REMOTE_ENV",
-    "REMOTE_GRACE_ENV",
-    "REMOTE_TICK_ENV",
-    "REMOTE_WORKERS_ENV",
-    "SUSPECT_STRIKES_ENV",
+    "SUSPECT_STRIKES",
     "WORKER_ID_ENV",
     "fabric_status",
-    "lease_batch",
-    "lease_ttl",
-    "remote_enabled",
-    "remote_grace",
-    "remote_tick",
-    "remote_workers",
     "run_remote",
     "run_worker",
     "spawn_local_workers",
-    "suspect_strikes",
 ]
 
-#: Truthy = ``Campaign.run`` dispatches to the distributed fabric.
-REMOTE_ENV = "REPRO_REMOTE"
-
-#: Local worker processes the coordinator spawns (0 = rely on external
-#: workers started via ``repro campaign --work``).
-REMOTE_WORKERS_ENV = "REPRO_REMOTE_WORKERS"
-
-#: Lease liveness horizon in seconds (default 30): a lease whose worker
-#: heartbeat is older than this is broken and its work reassigned.
-LEASE_TTL_ENV = "REPRO_LEASE_TTL"
-
-#: Fingerprints a worker claims per round (default 4).
-LEASE_BATCH_ENV = "REPRO_LEASE_BATCH"
-
-#: Seconds without progress before the coordinator degrades to
-#: executing unclaimed specs itself (default 5).
-REMOTE_GRACE_ENV = "REPRO_REMOTE_GRACE"
-
-#: Coordinator/worker polling tick in seconds (default 0.2).
-REMOTE_TICK_ENV = "REPRO_REMOTE_TICK"
-
-#: Worker id override (default ``w<pid>``); the coordinator sets it for
-#: the workers it spawns.
+#: The variable that hands each spawned worker its id.
 WORKER_ID_ENV = "REPRO_WORKER_ID"
 
 #: Divergence events from one worker before the coordinator demotes it
-#: as suspect (default 2 — one divergence could be a disk fault local to
-#: that write; a pattern is a skewed worker).
-SUSPECT_STRIKES_ENV = "REPRO_SUSPECT_STRIKES"
+#: as suspect (one divergence could be a disk fault local to that write;
+#: a pattern is a skewed worker).
+SUSPECT_STRIKES = 2
 
 #: Worker id the coordinator claims under when degrading to local
 #: execution.
 COORDINATOR_ID = "coordinator"
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def remote_enabled() -> bool:
-    """Whether :data:`REMOTE_ENV` opts this campaign into the fabric."""
-    raw = os.environ.get(REMOTE_ENV, "").strip().lower()
-    return raw not in ("", "0", "false", "no")
-
-
-def lease_ttl() -> float:
-    return max(0.1, _env_float(LEASE_TTL_ENV, 30.0))
-
-
-def lease_batch() -> int:
-    return max(1, _env_int(LEASE_BATCH_ENV, 4))
-
-
-def remote_tick() -> float:
-    return max(0.01, _env_float(REMOTE_TICK_ENV, 0.2))
-
-
-def remote_grace() -> float:
-    return max(0.0, _env_float(REMOTE_GRACE_ENV, 5.0))
-
-
-def remote_workers(default: int) -> int:
-    return max(0, _env_int(REMOTE_WORKERS_ENV, default))
-
-
-def suspect_strikes() -> int:
-    return max(1, _env_int(SUSPECT_STRIKES_ENV, 2))
 
 
 class Fabric:
@@ -466,7 +381,7 @@ def fabric_status(store_root: Path) -> Dict:
     claimed).
     """
     fabric = Fabric(FileTransport(Path(store_root)))
-    ttl = lease_ttl()
+    ttl = Settings.from_env().lease_ttl
     workers = {}
     for worker in fabric.workers():
         age = fabric.heartbeat_age(worker)
@@ -512,7 +427,7 @@ def fabric_status(store_root: Path) -> Dict:
 
 
 def _worker_execute(
-    fabric: Fabric, spec: RunSpec, worker: str, retries: int, base: float
+    fabric: Fabric, spec: RunSpec, worker: str, timeout: Optional[float]
 ) -> bool:
     """Execute one leased spec with the standard retry/timeout discipline.
 
@@ -520,7 +435,11 @@ def _worker_execute(
     publishes a ``permanent`` failure marker.  Either way the lease is
     released so the coordinator's view converges.
     """
-    from repro.campaign.executor import _execute_attempt
+    from repro.campaign.executor import (
+        RETRY_BACKOFF,
+        SPEC_RETRIES,
+        _execute_attempt,
+    )
 
     fp = spec.fingerprint
     attempt = 0
@@ -528,18 +447,19 @@ def _worker_execute(
     while True:
         attempt += 1
         try:
-            result = _execute_attempt(spec)
+            result = _execute_attempt(spec, timeout)
         except KeyboardInterrupt:
             fabric.release(fp)
             raise
         except Exception as exc:  # noqa: BLE001 - every failure is retryable
             fabric.publish_failed(
-                fp, worker, attempt, repr(exc), permanent=attempt > retries
+                fp, worker, attempt, repr(exc),
+                permanent=attempt > SPEC_RETRIES,
             )
-            if attempt > retries:
+            if attempt > SPEC_RETRIES:
                 fabric.release(fp)
                 return False
-            time.sleep(base * (2.0 ** (attempt - 1)))
+            time.sleep(RETRY_BACKOFF * (2.0 ** (attempt - 1)))
             continue
         text = result_to_json(result)
         if fabric.transport.local_path(f"{fp}.json") is None:
@@ -570,20 +490,17 @@ def run_worker(
     forever, for long-lived external workers).  Returns the number of
     specs this worker completed.
     """
-    from repro.campaign.executor import retry_backoff, spec_retries
-
     transport = transport_for(store, runner=runner)
     if isinstance(transport, FileTransport):
         # Publish results straight into the shared store: execute_spec's
         # store-through write *is* the delivery.
         os.environ[CACHE_ENV] = str(transport.root)
     fabric = Fabric(transport)
-    worker_id = worker_id or os.environ.get(WORKER_ID_ENV) or f"w{os.getpid()}"
-    tick = remote_tick()
-    ttl = lease_ttl()
-    batch = lease_batch()
-    retries = spec_retries()
-    base = retry_backoff()
+    settings = Settings.from_env()
+    worker_id = worker_id or settings.worker_id or f"w{os.getpid()}"
+    tick = settings.remote_tick
+    ttl = settings.lease_ttl
+    batch = settings.lease_batch
 
     fabric.heartbeat(worker_id)
     stop = threading.Event()
@@ -651,7 +568,9 @@ def run_worker(
                     refused.add(fp)
                     fabric.release(fp)
                     continue
-                if _worker_execute(fabric, spec, worker_id, retries, base):
+                if _worker_execute(
+                    fabric, spec, worker_id, settings.spec_timeout
+                ):
                     completed += 1
                 else:
                     refused.add(fp)
@@ -707,27 +626,31 @@ def spawn_local_workers(
 
 
 def _coordinator_execute(
-    fabric: Fabric, spec: RunSpec, state: "_ExecState"
+    fabric: Fabric,
+    spec: RunSpec,
+    state: "_ExecState",
+    timeout: Optional[float],
 ) -> None:
     """Graceful-degradation path: the coordinator executes one claimed
     spec inline, with the standard retry discipline and journaling."""
-    from repro.campaign.executor import retry_backoff, spec_retries
-    from repro.campaign.executor import _execute_attempt
+    from repro.campaign.executor import (
+        RETRY_BACKOFF,
+        SPEC_RETRIES,
+        _execute_attempt,
+    )
 
     fp = spec.fingerprint
-    retries = spec_retries()
-    base = retry_backoff()
     t0 = time.monotonic()
     while True:
         try:
-            result = _execute_attempt(spec)
+            result = _execute_attempt(spec, timeout)
         except KeyboardInterrupt:
             raise
         except Exception as exc:  # noqa: BLE001
-            if not state.record_failure(fp, exc, retries):
+            if not state.record_failure(fp, exc, SPEC_RETRIES):
                 fabric.release(fp)
                 return
-            time.sleep(state.backoff_delay(fp, base))
+            time.sleep(state.backoff_delay(fp, RETRY_BACKOFF))
             continue
         seconds = time.monotonic() - t0
         state.results[fp] = result
@@ -741,7 +664,10 @@ def _coordinator_execute(
 
 
 def run_remote(
-    ordered: Sequence[RunSpec], state: "_ExecState", n_workers: int
+    ordered: Sequence[RunSpec],
+    state: "_ExecState",
+    n_workers: int,
+    settings: Settings,
 ) -> None:
     """Coordinator loop: publish tasks, harvest markers, expire leases.
 
@@ -749,16 +675,16 @@ def run_remote(
     ``Campaign.run`` needs no special-casing downstream (interrupts,
     permanent failures, stats all behave identically).
     """
-    root = result_cache_dir()
+    root = settings.result_cache
     if root is None:
         raise ValueError(
-            f"{REMOTE_ENV} requires {CACHE_ENV} (the shared result store)"
+            f"REPRO_REMOTE requires {CACHE_ENV} (the shared result store)"
         )
     journal = state.journal
     fabric = Fabric(FileTransport(root))
-    ttl = lease_ttl()
-    tick = remote_tick()
-    grace = remote_grace()
+    ttl = settings.lease_ttl
+    tick = settings.remote_tick
+    grace = settings.remote_grace
 
     pending: Dict[str, RunSpec] = {
         s.fingerprint: s for s in ordered if s.fingerprint not in state.results
@@ -783,7 +709,6 @@ def run_remote(
     seen_failures: set = set()
     strikes: Dict[str, int] = {}
     demoted: set = set(fabric.suspects())  # sticky across campaigns
-    k_strikes = suspect_strikes()
     fell_back = False
     last_progress = time.monotonic()
     try:
@@ -845,7 +770,7 @@ def run_remote(
                     if isinstance(worker, str) and worker != COORDINATOR_ID:
                         strikes[worker] = strikes.get(worker, 0) + 1
                         if (
-                            strikes[worker] >= k_strikes
+                            strikes[worker] >= SUSPECT_STRIKES
                             and worker not in demoted
                         ):
                             demoted.add(worker)
@@ -944,7 +869,9 @@ def run_remote(
                     fp = claimable[0]
                     if fabric.claim(fp, COORDINATOR_ID):
                         spec = pending[fp]
-                        _coordinator_execute(fabric, spec, state)
+                        _coordinator_execute(
+                            fabric, spec, state, settings.spec_timeout
+                        )
                         if fp in state.results or fp in state.failures:
                             pending.pop(fp, None)
                         last_progress = time.monotonic()

@@ -31,7 +31,6 @@ the digest so valid-JSON bit rot is caught instead of served.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -45,19 +44,18 @@ from repro.campaign.attest import (
     quarantine_attestation,
     read_attestation,
     record_divergence,
-    verify_reads_enabled,
     write_attestation,
 )
 from repro.campaign.spec import RunSpec
 from repro.config import CoreSize, Setting
 from repro.power.energy import EnergyBreakdown
+from repro.settings import Settings
 from repro.simulator.metrics import SettingChange, SimResult
 from repro.util import faults
 from repro.util.diskcache import (
     atomic_write_text,
     bump_mtime,
     dir_stats,
-    parse_max_mb,
     prune_lru,
     quarantine_entry,
     read_text_guarded,
@@ -73,18 +71,14 @@ __all__ = [
     "prune_result_cache",
     "quarantine_stats",
     "result_cache_dir",
-    "result_cache_max_mb",
     "result_from_json",
     "result_to_json",
     "store_result",
 ]
 
-#: Environment variable naming the on-disk result-cache directory.
+#: The variable naming the on-disk result-cache directory (fabric workers
+#: export it to publish straight into the shared store).
 CACHE_ENV = "REPRO_RESULT_CACHE"
-
-#: Environment variable capping the on-disk store size in MiB (unset or
-#: non-positive = unbounded).
-CACHE_MAX_MB_ENV = "REPRO_RESULT_CACHE_MAX_MB"
 
 _MEMO: Dict[str, SimResult] = {}
 
@@ -165,13 +159,13 @@ def result_from_json(text: str) -> SimResult:
 
 def result_cache_dir() -> Optional[Path]:
     """On-disk cache root, or None when :data:`CACHE_ENV` is unset."""
-    root = os.environ.get(CACHE_ENV)
-    return Path(root) if root else None
+    return Settings.from_env().result_cache
 
 
 def cached_result(fingerprint: str) -> Optional[SimResult]:
     """Memo hit, then disk hit (promoted to the memo), else None."""
-    root = result_cache_dir()
+    settings = Settings.from_env()
+    root = settings.result_cache
     hit = _MEMO.get(fingerprint)
     if hit is not None:
         if root is not None:
@@ -186,7 +180,7 @@ def cached_result(fingerprint: str) -> Optional[SimResult]:
     text = read_text_guarded(file)
     if text is None:
         return None
-    if verify_reads_enabled():
+    if settings.verify_reads:
         attestation = read_attestation(root, fingerprint)
         if attestation is not None and attestation.get("digest") != digest_text(
             text
@@ -311,11 +305,6 @@ def memo_size() -> int:
     return len(_MEMO)
 
 
-def result_cache_max_mb() -> Optional[float]:
-    """The configured size cap in MiB, or None when unbounded."""
-    return parse_max_mb(CACHE_MAX_MB_ENV)
-
-
 def cache_stats() -> Dict[str, float]:
     """On-disk store shape: entry count/size, quarantine tallies and
     attestation coverage.
@@ -368,9 +357,9 @@ def quarantine_stats() -> Dict[str, float]:
 def prune_result_cache(max_mb: Optional[float] = None) -> Dict[str, float]:
     """Evict least-recently-used results until the store fits ``max_mb``.
 
-    ``max_mb`` defaults to :data:`CACHE_MAX_MB_ENV`; with neither set —
-    or a non-positive cap, which means *unbounded* exactly as the env
-    variable documents — or no cache directory, this is a no-op.
+    ``max_mb`` defaults to the ``result_cache_max_mb`` setting; with
+    neither set — or a non-positive cap, which means *unbounded* exactly
+    as the setting documents — or no cache directory, this is a no-op.
     Eviction is by ascending mtime — :func:`cached_result` bumps mtime
     on every hit (memo or disk), making this LRU rather than FIFO.
     Entries an in-flight (resumable, not-yet-complete) campaign journal
@@ -384,9 +373,10 @@ def prune_result_cache(max_mb: Optional[float] = None) -> Dict[str, float]:
     """
     from repro.campaign.journal import protected_fingerprints
 
+    settings = Settings.from_env()
     if max_mb is None:
-        max_mb = result_cache_max_mb()
-    root = result_cache_dir()
+        max_mb = settings.result_cache_max_mb
+    root = settings.result_cache
     outcome = prune_lru(
         root, max_mb, protected_stems=protected_fingerprints(root)
     )

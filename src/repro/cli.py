@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "with 'cache': LRU-evict results and local-memo entries "
-            "down to their size caps"
+            "down to their size caps, and delete orphaned database "
+            "cache files"
         ),
     )
     parser.add_argument(
@@ -264,47 +265,38 @@ def _emit(result, csv_dir: Path | None) -> None:
 
 
 def _cache_command(prune: bool, max_mb: float | None) -> int:
-    """Report/prune both on-disk stores: results and the local memo."""
-    from repro.campaign.results import (
-        CACHE_ENV,
-        cache_stats,
-        prune_result_cache,
-        result_cache_dir,
-        result_cache_max_mb,
-    )
-    from repro.core.local_cache import (
-        LOCAL_MEMO_ENV,
-        local_memo_dir,
-        local_memo_max_mb,
-        local_memo_stats,
-        prune_local_memo,
-    )
+    """Report/prune the on-disk stores: results, local memo, databases."""
+    from repro.campaign.results import cache_stats, prune_result_cache
+    from repro.core.local_cache import local_memo_stats, prune_local_memo
+    from repro.database.store import cache_dir, database_cache_report
+    from repro.settings import Settings
 
+    settings = Settings.from_env()
     # --max-mb overrides the *result store* cap only (its documented
-    # purpose); the local memo always answers to its own env cap, so a
+    # purpose); the local memo always answers to its own cap, so a
     # user shrinking result storage cannot accidentally evict a warm
     # phase library.
     stores = (
         (
             "results",
-            CACHE_ENV,
-            result_cache_dir(),
+            "REPRO_RESULT_CACHE",
+            settings.result_cache,
             cache_stats,
             prune_result_cache,
-            result_cache_max_mb,
+            settings.result_cache_max_mb,
             max_mb,
         ),
         (
             "local memo",
-            LOCAL_MEMO_ENV,
-            local_memo_dir(),
+            "REPRO_LOCAL_MEMO",
+            settings.local_memo,
             local_memo_stats,
             prune_local_memo,
-            local_memo_max_mb,
+            settings.local_memo_max_mb,
             None,
         ),
     )
-    for name, env, root, stats_fn, prune_fn, cap_fn, override_mb in stores:
+    for name, env, root, stats_fn, prune_fn, env_cap, override_mb in stores:
         if root is None:
             print(f"no on-disk {name} store ({env} is unset)")
             continue
@@ -324,7 +316,7 @@ def _cache_command(prune: bool, max_mb: float | None) -> int:
             print(line)
             continue
         stats = stats_fn()
-        cap = override_mb if override_mb is not None else cap_fn()
+        cap = override_mb if override_mb is not None else env_cap
         cap_text = f"{cap:.0f} MiB" if cap else "unbounded"
         line = (
             f"{name} @ {root}: {stats['files']:.0f} entries, "
@@ -345,6 +337,12 @@ def _cache_command(prune: bool, max_mb: float | None) -> int:
                 f"(never pruned)"
             )
         print(line)
+    db = database_cache_report(prune)
+    print(
+        f"databases @ {cache_dir()}: {db['records']} records files, "
+        f"{db['orphans']} orphaned files ({db['orphan_mb']:.1f} MiB)"
+        + (" removed" if prune else "")
+    )
     return 0
 
 

@@ -269,6 +269,12 @@ class ScaleConfig:
     #: Default number of intervals per application (before phase repetition).
     app_intervals: int = 32
 
+    def __post_init__(self) -> None:
+        if self.interval_instructions < 1:
+            raise ValueError("interval_instructions must be >= 1")
+        if self.sample_llc_accesses < 1:
+            raise ValueError("sample_llc_accesses must be >= 1")
+
     def trace_scale(self, llc_apki: float) -> float:
         """Events-per-sample -> events-per-interval multiplier.
 

@@ -30,12 +30,12 @@ advance).
 from __future__ import annotations
 
 import ctypes
-import os
 from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.settings import Settings
 from repro.util.nativebuild import build_shared
 
 __all__ = ["available", "native_combine", "native_combine_window"]
@@ -205,9 +205,7 @@ _lib_failed = False
 
 
 def _cache_dir() -> Path:
-    from repro.database.store import cache_dir
-
-    return cache_dir() / "native"
+    return Settings.from_env().cache_dir / "native"
 
 
 #: Candidate flag sets, best first; degrade gracefully for compilers
@@ -231,7 +229,7 @@ def _load() -> Optional[ctypes.CDLL]:
     global _lib, _lib_failed
     if _lib is not None or _lib_failed:
         return _lib
-    if os.environ.get("REPRO_NO_NATIVE"):
+    if Settings.from_env().no_native:
         _lib_failed = True
         return None
     so_path = _compile()

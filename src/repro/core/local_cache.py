@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 from collections import OrderedDict
 from pathlib import Path
@@ -39,12 +38,12 @@ from typing import Dict, Hashable, Optional, Tuple
 from repro.core.local_opt import LocalOptResult
 from repro.core.perf_models import ModelInputs, PerformanceModel
 from repro.core.qos import QoSPolicy
+from repro.settings import Settings
 from repro.util import faults
 from repro.util.diskcache import (
     atomic_write_text,
     bump_mtime,
     dir_stats,
-    parse_max_mb,
     prune_lru,
     read_text_guarded,
 )
@@ -54,19 +53,12 @@ __all__ = [
     "PersistentLocalMemo",
     "local_memo_dir",
     "local_memo_key",
-    "local_memo_max_mb",
     "local_memo_scope",
     "local_memo_stats",
     "persistent_memo_for",
     "prune_local_memo",
 ]
 
-#: Environment variable naming the on-disk local-memo directory.
-LOCAL_MEMO_ENV = "REPRO_LOCAL_MEMO"
-
-#: Environment variable capping the on-disk memo size in MiB (unset or
-#: non-positive = unbounded).
-LOCAL_MEMO_MAX_MB_ENV = "REPRO_LOCAL_MEMO_MAX_MB"
 
 #: Default per-manager capacity; at ~1 KB per entry the memo stays small
 #: while covering far more recurring (phase, setting) pairs than any
@@ -149,14 +141,8 @@ def local_memo_scope(
 
 
 def local_memo_dir() -> Optional[Path]:
-    """On-disk memo root, or None when :data:`LOCAL_MEMO_ENV` is unset."""
-    root = os.environ.get(LOCAL_MEMO_ENV)
-    return Path(root) if root else None
-
-
-def local_memo_max_mb() -> Optional[float]:
-    """The configured size cap in MiB, or None when unbounded."""
-    return parse_max_mb(LOCAL_MEMO_MAX_MB_ENV)
+    """On-disk memo root, or None when ``REPRO_LOCAL_MEMO`` is unset."""
+    return Settings.from_env().local_memo
 
 
 def local_memo_stats() -> Dict[str, float]:
@@ -168,18 +154,19 @@ def prune_local_memo(max_mb: Optional[float] = None) -> Dict[str, float]:
     """Evict least-recently-used memo entries down to the size cap.
 
     Same contract as the result store's prune: ``max_mb`` defaults to
-    :data:`LOCAL_MEMO_MAX_MB_ENV`, hits bump mtime, and with no cap or no
-    directory this only reports stats.
+    the ``local_memo_max_mb`` setting, hits bump mtime, and with no cap or
+    no directory this only reports stats.
     """
+    settings = Settings.from_env()
     if max_mb is None:
-        max_mb = local_memo_max_mb()
-    return prune_lru(local_memo_dir(), max_mb)
+        max_mb = settings.local_memo_max_mb
+    return prune_lru(settings.local_memo, max_mb)
 
 
 class PersistentLocalMemo:
     """Disk tier of the local-decision memo (the result-store pattern).
 
-    One JSON file per entry under the :data:`LOCAL_MEMO_ENV` directory,
+    One JSON file per entry under the ``REPRO_LOCAL_MEMO`` directory,
     named ``<scope>-<key digest>.json`` — the scope isolates database
     content, model, capabilities and ``RESULT_VERSION``; the digest the
     exact varying inputs.  Floats serialise via ``repr`` and round-trip
@@ -232,7 +219,7 @@ def persistent_memo_for(
 ) -> Optional[PersistentLocalMemo]:
     """The env-configured disk tier for one (database, manager) pairing.
 
-    None when :data:`LOCAL_MEMO_ENV` is unset.  ``db`` is any object with
+    None when ``REPRO_LOCAL_MEMO`` is unset.  ``db`` is any object with
     a ``content_fingerprint`` (a :class:`~repro.database.builder.SimDatabase`).
     """
     root = local_memo_dir()

@@ -17,9 +17,10 @@ Phase records are mutually independent and each carries its own derived
 seed, so :func:`build_database` can fan the per-phase work out over a
 ``concurrent.futures`` process pool: the database is bit-identical for any
 worker count, including serial.  Worker count resolves from the explicit
-``n_workers`` argument, then the ``REPRO_BUILD_WORKERS`` environment
-variable, then an automatic rule that only engages the pool for builds big
-enough to amortise process startup (paper-scale suites, not test minis).
+``n_workers`` argument, then the ``build_workers`` setting
+(``REPRO_BUILD_WORKERS``), then an automatic rule that only engages the
+pool for builds big enough to amortise process startup (paper-scale
+suites, not test minis).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.database.records import PhaseRecord
 from repro.microarch.interval_model import IntervalModel
 from repro.microarch.leading import leading_miss_matrix
 from repro.power.model import PowerModel
+from repro.settings import Settings
 from repro.trace.generator import PhaseTraceGenerator
 from repro.trace.spec import AppSpec, PhaseSpec
 from repro.util.rng import derive_seed
@@ -48,9 +50,6 @@ __all__ = [
     "build_phase_record",
     "resolve_build_workers",
 ]
-
-#: Environment override for the database build worker count.
-WORKERS_ENV = "REPRO_BUILD_WORKERS"
 
 #: Auto mode engages the pool only above this much total replay work
 #: (tasks x sampled accesses); smaller builds run serial, faster.
@@ -231,19 +230,10 @@ def resolve_build_workers(
 ) -> int:
     """Worker count for a build of ``n_tasks`` phase records.
 
-    Priority: explicit argument, then :data:`WORKERS_ENV`, then an
+    An explicit count is clamped to the task count; None selects the
     automatic rule — parallelise only when the total replay work is large
     enough for the pool startup to pay for itself.
     """
-    if n_workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        if env:
-            try:
-                n_workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{WORKERS_ENV} must be an integer, got {env!r}"
-                ) from None
     if n_workers is None:
         work = n_tasks * system.scale.sample_llc_accesses
         if n_tasks >= 4 and work >= _AUTO_POOL_MIN_WORK:
@@ -296,6 +286,8 @@ def build_database(
         for spec in suite
         for idx, phase in enumerate(spec.phases)
     ]
+    if n_workers is None:
+        n_workers = Settings.from_env().build_workers
     workers = resolve_build_workers(n_workers, len(tasks), system)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

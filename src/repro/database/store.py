@@ -11,6 +11,11 @@ system to the records.
 
 :func:`database_fingerprint` keeps identifying one (suite, system, seed)
 build, core count included; campaign result fingerprints fold it in.
+
+Any other top-level ``.npz`` in the cache root is an *orphan* — the
+per-core-count files written before records were keyed per seed.  Nothing
+reads them; :func:`database_cache_report` (``repro cache --prune``)
+deletes them.
 """
 
 from __future__ import annotations
@@ -22,25 +27,24 @@ import zipfile
 import zlib
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.config import SystemConfig
 from repro.database.records import PhaseRecord
+from repro.settings import Settings
 from repro.trace.spec import AppSpec
 from repro.util.diskcache import quarantine_entry
 
 __all__ = [
     "cache_dir",
+    "database_cache_report",
     "database_fingerprint",
     "load_cached_database",
     "records_fingerprint",
     "save_database_cache",
 ]
-
-_ENV_DIR = "REPRO_CACHE_DIR"
-_ENV_DISABLE = "REPRO_NO_CACHE"
 
 #: Bump whenever trace-generation or model semantics change, so stale
 #: cached databases can never leak across code revisions.
@@ -67,10 +71,33 @@ _SCALAR_FIELDS = ("n_instructions", "branch_cycles", "llc_accesses")
 
 def cache_dir() -> Path:
     """Cache root (override with ``REPRO_CACHE_DIR``)."""
-    root = os.environ.get(_ENV_DIR)
-    if root:
-        return Path(root)
-    return Path(__file__).resolve().parents[3] / ".cache" / "repro-db"
+    return Settings.from_env().cache_dir
+
+
+def database_cache_report(prune: bool = False) -> Dict[str, float]:
+    """Records-file count plus the orphans' count and MiB.
+
+    With ``prune`` the orphans are deleted and the counts are of what was
+    removed; records and sub-directories (``native/``, ``quarantine/``)
+    are never touched.
+    """
+    files = sorted(f for f in cache_dir().glob("*.npz") if f.is_file())
+    orphans = [f for f in files if not f.name.startswith("records-")]
+    count = size = 0
+    for file in orphans:
+        try:
+            nbytes = file.stat().st_size
+            if prune:
+                file.unlink()
+        except OSError:
+            continue
+        count += 1
+        size += nbytes
+    return {
+        "records": len(files) - len(orphans),
+        "orphans": count,
+        "orphan_mb": size / (1024 * 1024),
+    }
 
 
 def _stable_json(obj) -> str:
@@ -135,7 +162,7 @@ def _records_file(suite: Sequence[AppSpec], system: SystemConfig, seed: int) -> 
 
 def save_database_cache(db, suite: Sequence[AppSpec], seed: int) -> Optional[Path]:
     """Persist all records of a database; returns the file path or None."""
-    if os.environ.get(_ENV_DISABLE):
+    if Settings.from_env().no_cache:
         return None
     try:
         cache_dir().mkdir(parents=True, exist_ok=True)
@@ -175,7 +202,7 @@ def load_cached_database(
     moved to ``<cache>/quarantine/`` so the caller's rebuild replaces it
     and the damage is never re-read.
     """
-    if os.environ.get(_ENV_DISABLE):
+    if Settings.from_env().no_cache:
         return None
     from repro.database.builder import SimDatabase
 

@@ -46,15 +46,14 @@ The event loop itself runs in one of two *wave modes*:
   per-core settings diff, no memo speculation, no persistent-memo tier,
   no reduction-combine reuse.
 
-The mode resolves from the constructor argument, then ``REPRO_SIM_WAVE``,
-then the default.  Wave runs also engage the cross-process
-persistent local memo (``REPRO_LOCAL_MEMO``, see
+The mode resolves from the constructor argument, then the ``sim_wave``
+setting (``REPRO_SIM_WAVE``, default ``"step"``).  Wave runs also engage
+the cross-process persistent local memo (``REPRO_LOCAL_MEMO``, see
 :mod:`repro.core.local_cache`) so repeated campaigns start warm.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,6 +69,7 @@ from repro.database.builder import SimDatabase
 from repro.database.records import PhaseRecord
 from repro.power.dvfs import DVFSController
 from repro.power.energy import EnergyBreakdown
+from repro.settings import Settings
 from repro.simulator.events import next_boundary_arrays
 from repro.simulator.metrics import SettingChange, SimResult
 
@@ -86,9 +86,6 @@ _VIOLATION_EPS = 1e-6
 
 #: The event-loop modes (see module docstring).
 WAVE_MODES = ("scalar", "step")
-
-#: Environment override for the event-loop mode.
-WAVE_ENV = "REPRO_SIM_WAVE"
 
 
 class _CoreStates:
@@ -526,7 +523,7 @@ class MulticoreRMSimulator:
         self.charge_overheads = charge_overheads
         self.collect_history = collect_history
         if wave is None:
-            wave = os.environ.get(WAVE_ENV) or "step"
+            wave = Settings.from_env().sim_wave
         if wave not in WAVE_MODES:
             raise ValueError(
                 f"unknown wave mode {wave!r}; options: {WAVE_MODES}"

@@ -53,8 +53,8 @@ per-process (fine for serial in-process tests); :func:`prepare_for_campaign`
 creates a shared ledger automatically when a plan is active so forked
 pool workers always agree with the parent.
 
-With ``REPRO_FAULT_PLAN`` unset every hook is a single dict probe — the
-production fast path stays fault-free and overhead-free.
+With ``REPRO_FAULT_PLAN`` unset every hook returns after one settings
+lookup — the production fast path stays fault-free.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.settings import Settings
 
 __all__ = [
     "FaultDirective",
@@ -84,10 +86,11 @@ __all__ = [
     "reset",
 ]
 
-#: Environment variable holding the fault plan (unset = no faults).
+#: The variable holding the fault plan (unset = no faults); re-exported
+#: by :func:`prepare_for_campaign` so worker processes inherit it.
 PLAN_ENV = "REPRO_FAULT_PLAN"
 
-#: Environment variable naming the cross-process fire ledger directory.
+#: The variable naming the cross-process fire ledger directory.
 LEDGER_ENV = "REPRO_FAULT_LEDGER"
 
 #: Exit code of an injected worker crash (recognisable in tests/CI).
@@ -256,7 +259,7 @@ class FaultPlan:
                 # Store kinds accept worker= so a multi-worker test can pin
                 # the poison to one fabric worker; coordinator and other
                 # workers (different REPRO_WORKER_ID, or none) skip it.
-                os.environ.get("REPRO_WORKER_ID", "")
+                Settings.from_env().worker_id or ""
             ).startswith(d.worker):
                 continue
             if not d.matches(name) or not self._fire_if_due(d):
@@ -348,21 +351,18 @@ def _perturb_entry(path: Path) -> None:
 
 #: Parse cache keyed on (plan text, ledger) — plans are tiny, but the
 #: in-memory fire counts must survive across hook calls in one process.
-_CACHE: Dict[Tuple[str, Optional[str]], FaultPlan] = {}
+_CACHE: Dict[Tuple[str, Optional[Path]], FaultPlan] = {}
 
 
 def active_plan() -> Optional[FaultPlan]:
     """The env-configured plan, or None (the production fast path)."""
-    text = os.environ.get(PLAN_ENV)
-    if not text:
+    settings = Settings.from_env()
+    if not settings.fault_plan:
         return None
-    ledger = os.environ.get(LEDGER_ENV) or None
-    key = (text, ledger)
+    key = (settings.fault_plan, settings.fault_ledger)
     plan = _CACHE.get(key)
     if plan is None:
-        plan = FaultPlan(
-            parse_plan(text), Path(ledger) if ledger else None
-        )
+        plan = FaultPlan(parse_plan(settings.fault_plan), settings.fault_ledger)
         _CACHE[key] = plan
     return plan
 
@@ -393,7 +393,6 @@ def prepare_for_campaign(fingerprints: Sequence[str]) -> None:
         # and workers must already agree before the env round-trip.
         plan.ledger = Path(tempfile.mkdtemp(prefix="repro-fault-ledger-"))
         os.environ[LEDGER_ENV] = str(plan.ledger)
-    changed = False
     for d in plan.directives:
         if d.ordinal is None:
             continue
@@ -405,12 +404,12 @@ def prepare_for_campaign(fingerprints: Sequence[str]) -> None:
             else "~unmatched"
         )
         d.ordinal = None
-        changed = True
-    if changed or os.environ.get(LEDGER_ENV):
-        os.environ[PLAN_ENV] = plan.to_text()
-        # Re-key the cache so this resolved instance (with its counts)
-        # answers the rewritten env text.
-        _CACHE[(os.environ[PLAN_ENV], os.environ.get(LEDGER_ENV) or None)] = plan
+    # The ledger is set by now (inherited or just minted): export the
+    # resolved plan and re-key the cache so this instance (with its
+    # counts) answers the rewritten env text.
+    text = plan.to_text()
+    os.environ[PLAN_ENV] = text
+    _CACHE[(text, plan.ledger)] = plan
 
 
 def on_spec(fingerprint: str) -> None:

@@ -127,21 +127,39 @@ class TestRunSpec:
 
 
 class TestResolveWorkers:
+    def _run_workers(self, monkeypatch, n_workers=None) -> int:
+        """The worker count ``Campaign.run`` resolves (simulation stubbed)."""
+        seen = []
+
+        def resolve(n, n_pending):
+            seen.append(n)
+            return 1
+
+        monkeypatch.setattr(campaign_executor, "resolve_campaign_workers", resolve)
+        monkeypatch.setattr(campaign_executor, "_simulate", lambda spec: None)
+        monkeypatch.setattr(campaign_executor, "store_result", lambda *a, **k: None)
+        clear_result_memo()
+        Campaign(SPECS[:1]).run(n_workers=n_workers)
+        return seen[0]
+
     def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(campaign_executor.WORKERS_ENV, "7")
+        monkeypatch.setenv("REPRO_CAMPAIGN_WORKERS", "7")
+        assert self._run_workers(monkeypatch, n_workers=3) == 3
         assert resolve_campaign_workers(3, 100) == 3
 
     def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(campaign_executor.WORKERS_ENV, "5")
-        assert resolve_campaign_workers(None, 100) == 5
+        monkeypatch.setenv("REPRO_CAMPAIGN_WORKERS", "5")
+        assert self._run_workers(monkeypatch) == 5
+        assert resolve_campaign_workers(5, 100) == 5
 
     def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv(campaign_executor.WORKERS_ENV, "many")
-        with pytest.raises(ValueError):
-            resolve_campaign_workers(None, 100)
+        monkeypatch.setenv("REPRO_CAMPAIGN_WORKERS", "many")
+        with pytest.raises(ValueError, match="REPRO_CAMPAIGN_WORKERS"):
+            self._run_workers(monkeypatch)
 
     def test_auto_serial_for_small_campaigns(self, monkeypatch):
-        monkeypatch.delenv(campaign_executor.WORKERS_ENV, raising=False)
+        monkeypatch.delenv("REPRO_CAMPAIGN_WORKERS", raising=False)
+        assert self._run_workers(monkeypatch) is None
         assert resolve_campaign_workers(None, 2) == 1
 
     def test_clamped_to_pending(self):
@@ -422,6 +440,8 @@ class TestResultStoreGC:
     def test_cli_cache_subcommand(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
 
+        # --prune also sweeps the database cache: keep it off the real one.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "db"))
         self._fill(tmp_path, monkeypatch, n=3, size=1024)
         assert main(["cache"]) == 0
         out = capsys.readouterr().out

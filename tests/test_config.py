@@ -143,6 +143,13 @@ class TestScaleConfig:
     def test_trace_scale_zero_density(self):
         assert ScaleConfig().trace_scale(0.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "field", ["sample_llc_accesses", "interval_instructions"]
+    )
+    def test_empty_sample_or_interval_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            ScaleConfig(**{field: 0})
+
     def test_nominal_interval_is_100m(self):
         assert ScaleConfig().interval_instructions == 100_000_000
         assert math.isclose(ScaleConfig().trace_scale(10.0) * ScaleConfig().sample_llc_accesses, 1_000_000)

@@ -146,15 +146,18 @@ class TestBuilder:
 
     def test_worker_resolution(self, system2, monkeypatch):
         from repro.database.builder import resolve_build_workers
+        from repro.settings import Settings
 
         # explicit argument wins; clamped to the task count
         assert resolve_build_workers(3, 10, system2) == 3
         assert resolve_build_workers(16, 2, system2) == 2
-        # environment fallback
+        # environment fallback, through the settings
         monkeypatch.setenv("REPRO_BUILD_WORKERS", "5")
-        assert resolve_build_workers(None, 10, system2) == 5
+        assert Settings.from_env().build_workers == 5
+        assert resolve_build_workers(5, 10, system2) == 5
         # auto: small (test-scale) builds stay serial
         monkeypatch.delenv("REPRO_BUILD_WORKERS")
+        assert Settings.from_env().build_workers is None
         assert resolve_build_workers(None, 5, system2) == 1
 
 
@@ -210,6 +213,36 @@ class TestStore:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         assert save_database_cache(mini_db, mini_suite(), 7) is None
+
+    def test_cli_cache_reports_and_prunes_orphans(
+        self, mini_db, tmp_path, monkeypatch, capsys
+    ):
+        """Per-core files from before records were keyed per seed are
+        orphans: ``repro cache`` counts them, ``--prune`` deletes them and
+        nothing else (records, quarantine)."""
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_LOCAL_MEMO", raising=False)
+        records = save_database_cache(mini_db, mini_suite(), 7)
+        orphans = [tmp_path / f"{c * 32}.npz" for c in "ab"]
+        for orphan in orphans:
+            orphan.write_bytes(b"x" * 1024 * 1024)
+        quarantined = tmp_path / "quarantine" / f"{'c' * 32}.npz"
+        quarantined.parent.mkdir()
+        quarantined.write_bytes(b"x")
+
+        assert main(["cache"]) == 0
+        out = capsys.readouterr().out
+        assert "1 records files, 2 orphaned files (2.0 MiB)\n" in out
+        assert all(orphan.exists() for orphan in orphans)
+        assert main(["cache", "--prune"]) == 0
+        out = capsys.readouterr().out
+        assert "1 records files, 2 orphaned files (2.0 MiB) removed" in out
+        assert records.exists() and quarantined.exists()
+        assert not any(orphan.exists() for orphan in orphans)
 
     @pytest.mark.parametrize(
         "damage",

@@ -37,6 +37,7 @@ from repro.campaign.journal import (
     read_journal,
     summarize_events,
 )
+from repro.settings import Settings
 from repro.testing import serial_oracle, write_entry_many
 from repro.util import faults
 from repro.util.diskcache import (
@@ -224,8 +225,8 @@ class TestSerialFaultDifferential:
 
     def test_hang_is_timed_out_and_retried(self, full_db, monkeypatch, oracle):
         target = _ordered(FSPECS)[0].fingerprint
-        monkeypatch.setenv(campaign_executor.SPEC_TIMEOUT_ENV, "1")
-        monkeypatch.setenv(campaign_executor.RETRY_BACKOFF_ENV, "0.01")
+        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "1")
+        monkeypatch.setattr(campaign_executor, "RETRY_BACKOFF", 0.01)
         os.environ[faults.PLAN_ENV] = f"hang:fp={target},secs=30"
         t0 = time.monotonic()
         results = run_campaign(FSPECS, n_workers=1)
@@ -238,8 +239,8 @@ class TestSerialFaultDifferential:
         self, full_db, monkeypatch, tmp_path, oracle
     ):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
-        monkeypatch.setenv(campaign_executor.SPEC_RETRIES_ENV, "1")
-        monkeypatch.setenv(campaign_executor.RETRY_BACKOFF_ENV, "0.01")
+        monkeypatch.setattr(campaign_executor, "SPEC_RETRIES", 1)
+        monkeypatch.setattr(campaign_executor, "RETRY_BACKOFF", 0.01)
         ordered = _ordered(FSPECS)
         target = ordered[1].fingerprint
         os.environ[faults.PLAN_ENV] = f"fail:fp={target},times=99"
@@ -255,20 +256,20 @@ class TestSerialFaultDifferential:
         assert summary["failed_attempts"] == 2  # first try + 1 retry
 
     def test_malformed_timeout_fails_before_simulating(self, monkeypatch):
-        monkeypatch.setenv(campaign_executor.SPEC_TIMEOUT_ENV, "forever")
+        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "forever")
         simulated = []
         monkeypatch.setattr(
             campaign_executor, "_simulate",
             lambda spec: simulated.append(spec),
         )
-        with pytest.raises(ValueError, match=campaign_executor.SPEC_TIMEOUT_ENV):
+        with pytest.raises(ValueError, match="REPRO_SPEC_TIMEOUT"):
             run_campaign(FSPECS[:1])
         assert simulated == []
 
 
 class TestPoolFaultDifferential:
     def test_worker_crash_rebuilds_pool(self, full_db, monkeypatch, oracle):
-        monkeypatch.setenv(campaign_executor.RETRY_BACKOFF_ENV, "0.01")
+        monkeypatch.setattr(campaign_executor, "RETRY_BACKOFF", 0.01)
         os.environ[faults.PLAN_ENV] = "crash:spec=1"
         results = run_campaign(FSPECS, n_workers=2)
         assert results.stats.pool_failures >= 1
@@ -276,8 +277,8 @@ class TestPoolFaultDifferential:
             assert results[spec] == oracle[spec.fingerprint], spec.label()
 
     def test_pool_decay_degrades_to_serial(self, full_db, monkeypatch, oracle):
-        monkeypatch.setenv(campaign_executor.POOL_FAILURES_ENV, "0")
-        monkeypatch.setenv(campaign_executor.RETRY_BACKOFF_ENV, "0.01")
+        monkeypatch.setattr(campaign_executor, "POOL_FAILURES", 0)
+        monkeypatch.setattr(campaign_executor, "RETRY_BACKOFF", 0.01)
         os.environ[faults.PLAN_ENV] = "crash:spec=1"
         results = run_campaign(FSPECS, n_workers=2)
         assert results.stats.pool_failures == 1
@@ -286,8 +287,8 @@ class TestPoolFaultDifferential:
 
     def test_pool_hang_is_timed_out(self, full_db, monkeypatch, oracle):
         target = _ordered(FSPECS)[0].fingerprint
-        monkeypatch.setenv(campaign_executor.SPEC_TIMEOUT_ENV, "1")
-        monkeypatch.setenv(campaign_executor.RETRY_BACKOFF_ENV, "0.01")
+        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "1")
+        monkeypatch.setattr(campaign_executor, "RETRY_BACKOFF", 0.01)
         os.environ[faults.PLAN_ENV] = f"hang:fp={target},secs=30"
         t0 = time.monotonic()
         results = run_campaign(FSPECS, n_workers=2)
@@ -669,21 +670,14 @@ class TestExecutorUnits:
         assert "[2 retries, 1 pool failures]" in noisy.summary()
 
     def test_knob_defaults(self, monkeypatch):
-        for env in (
-            campaign_executor.SPEC_TIMEOUT_ENV,
-            campaign_executor.SPEC_RETRIES_ENV,
-            campaign_executor.RETRY_BACKOFF_ENV,
-            campaign_executor.POOL_FAILURES_ENV,
-            campaign_executor.STRAGGLER_FACTOR_ENV,
-        ):
-            monkeypatch.delenv(env, raising=False)
-        assert campaign_executor.spec_timeout() is None
-        assert campaign_executor.spec_retries() == 2
-        assert campaign_executor.retry_backoff() == 0.05
-        assert campaign_executor.max_pool_failures() == 3
-        assert campaign_executor.straggler_factor() == 8.0
-        monkeypatch.setenv(campaign_executor.STRAGGLER_FACTOR_ENV, "0")
-        assert campaign_executor.straggler_factor() is None
+        monkeypatch.delenv("REPRO_SPEC_TIMEOUT", raising=False)
+        assert Settings.from_env().spec_timeout is None
+        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "0")
+        assert Settings.from_env().spec_timeout is None
+        assert campaign_executor.SPEC_RETRIES == 2
+        assert campaign_executor.RETRY_BACKOFF == 0.05
+        assert campaign_executor.POOL_FAILURES == 3
+        assert campaign_executor.STRAGGLER_FACTOR == 8.0
 
     def test_deadline_raises_spec_timeout(self):
         from repro.campaign.executor import SpecTimeout, _deadline

@@ -37,6 +37,7 @@ from repro.campaign.attest import (
 )
 from repro.campaign.executor import execute_spec, run_campaign
 from repro.campaign.journal import journal_status, read_journal
+from repro.campaign import remote
 from repro.campaign.remote import Fabric, fabric_status, run_worker
 from repro.campaign.results import (
     cache_stats,
@@ -92,7 +93,6 @@ def _integrity_env(monkeypatch):
         "REPRO_RESULT_CACHE",
         "REPRO_CAMPAIGN_WORKERS",
         "REPRO_VERIFY_READS",
-        "REPRO_SUSPECT_STRIKES",
         "REPRO_WORKER_ID",
     ):
         monkeypatch.delenv(k, raising=False)
@@ -457,7 +457,7 @@ class TestFabricDivergence:
         demoted after K strikes — and the campaign still converges
         bit-identical to the fault-free serial oracle."""
         _remote_env(monkeypatch, tmp_path, workers=0, ttl=5.0, batch=1)
-        monkeypatch.setenv("REPRO_SUSPECT_STRIKES", "2")
+        monkeypatch.setattr(remote, "SUSPECT_STRIKES", 2)
         os.environ[faults.PLAN_ENV] = (
             "divergent:store=results,worker=wbad,times=2"
         )
@@ -564,7 +564,7 @@ class TestSubprocessFabric:
         only inside the poisoned worker; the campaign completes
         bit-identical with the divergence journaled."""
         _remote_env(monkeypatch, tmp_path, workers=2, ttl=5.0, batch=1)
-        monkeypatch.setenv("REPRO_SUSPECT_STRIKES", "2")
+        monkeypatch.setattr(remote, "SUSPECT_STRIKES", 2)
         # Spawned workers get ids w<i>-<coordinator pid>: prefix-match w1.
         os.environ[faults.PLAN_ENV] = (
             "divergent:store=results,worker=w1,times=2"

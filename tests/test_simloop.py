@@ -24,8 +24,6 @@ from repro.core import _native_opt
 from repro.core.energy_curve import EnergyCurve
 from repro.core.global_opt import ReductionTree, partition_ways
 from repro.core.local_cache import (
-    LOCAL_MEMO_ENV,
-    LOCAL_MEMO_MAX_MB_ENV,
     LocalOptMemo,
     PersistentLocalMemo,
     local_memo_dir,
@@ -571,7 +569,7 @@ class TestAcceleratedTree:
 # ---------------------------------------------------------------------------
 @pytest.fixture()
 def memo_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(LOCAL_MEMO_ENV, str(tmp_path / "memo"))
+    monkeypatch.setenv("REPRO_LOCAL_MEMO", str(tmp_path / "memo"))
     return tmp_path / "memo"
 
 
@@ -705,12 +703,12 @@ class TestPersistentMemo:
         assert (memo.hits, memo.misses, memo.seeds) == (0, 0, 1)
 
     def test_persistent_memo_for_env_gate(self, mini_db, monkeypatch):
-        monkeypatch.delenv(LOCAL_MEMO_ENV, raising=False)
+        monkeypatch.delenv("REPRO_LOCAL_MEMO", raising=False)
         assert persistent_memo_for(mini_db, "Model3", "w+f+c") is None
         assert local_memo_dir() is None
 
     def test_cap_env_validation(self, monkeypatch):
-        monkeypatch.setenv(LOCAL_MEMO_MAX_MB_ENV, "not-a-number")
+        monkeypatch.setenv("REPRO_LOCAL_MEMO_MAX_MB", "not-a-number")
         with pytest.raises(ValueError):
             prune_local_memo()
 
@@ -754,7 +752,7 @@ class TestPersistentMemo:
         key, result = _result_for(mini_db, system2)
         PersistentLocalMemo(memo_env, "old").put(key, result)
         assert local_memo_stats()["files"] == 1
-        monkeypatch.setenv(LOCAL_MEMO_MAX_MB_ENV, "0.0000001")
+        monkeypatch.setenv("REPRO_LOCAL_MEMO_MAX_MB", "0.0000001")
         # (The executor runs this same prune after every campaign with
         # pending simulations; exercised directly here because campaign
         # runs need the canonical suite database.)

@@ -312,7 +312,7 @@ class TestGeneratorDifferential:
         dep = np.where(np.asarray(links, dtype=bool), np.arange(n) - 1, -1)
         dep = dep.astype(np.int64)
         spec = make_phase("a", dep_arrival_delay=delay)
-        gen = PhaseTraceGenerator(ScaleConfig(sample_llc_accesses=n))
+        gen = PhaseTraceGenerator(ScaleConfig(sample_llc_accesses=max(n, 1)))
         _assert_same(
             gen._arrival_order(spec, dep, n), reference_arrival_order(spec, dep, n)
         )
