@@ -268,7 +268,7 @@ def _cache_command(prune: bool, max_mb: float | None) -> int:
     """Report/prune the on-disk stores: results, local memo, databases."""
     from repro.campaign.results import cache_stats, prune_result_cache
     from repro.core.local_cache import local_memo_stats, prune_local_memo
-    from repro.database.store import cache_dir, database_cache_report
+    from repro.database.store import database_cache_report
     from repro.settings import Settings
 
     settings = Settings.from_env()
@@ -339,7 +339,7 @@ def _cache_command(prune: bool, max_mb: float | None) -> int:
         print(line)
     db = database_cache_report(prune)
     print(
-        f"databases @ {cache_dir()}: {db['records']} records files, "
+        f"databases @ {settings.cache_dir}: {db['records']} records files, "
         f"{db['orphans']} orphaned files ({db['orphan_mb']:.1f} MiB)"
         + (" removed" if prune else "")
     )

@@ -51,7 +51,6 @@ from repro.util.diskcache import (
 __all__ = [
     "LocalOptMemo",
     "PersistentLocalMemo",
-    "local_memo_dir",
     "local_memo_key",
     "local_memo_scope",
     "local_memo_stats",
@@ -140,14 +139,9 @@ def local_memo_scope(
     return h.hexdigest()
 
 
-def local_memo_dir() -> Optional[Path]:
-    """On-disk memo root, or None when ``REPRO_LOCAL_MEMO`` is unset."""
-    return Settings.from_env().local_memo
-
-
 def local_memo_stats() -> Dict[str, float]:
     """On-disk memo shape: file count and total size in bytes/MiB."""
-    return dir_stats(local_memo_dir())
+    return dir_stats(Settings.from_env().local_memo)
 
 
 def prune_local_memo(max_mb: Optional[float] = None) -> Dict[str, float]:
@@ -222,7 +216,7 @@ def persistent_memo_for(
     None when ``REPRO_LOCAL_MEMO`` is unset.  ``db`` is any object with
     a ``content_fingerprint`` (a :class:`~repro.database.builder.SimDatabase`).
     """
-    root = local_memo_dir()
+    root = Settings.from_env().local_memo
     if root is None:
         return None
     scope = local_memo_scope(db.content_fingerprint, model_name, caps_label)

@@ -12,10 +12,10 @@ system to the records.
 :func:`database_fingerprint` keeps identifying one (suite, system, seed)
 build, core count included; campaign result fingerprints fold it in.
 
-Any other top-level ``.npz`` in the cache root is an *orphan* — the
-per-core-count files written before records were keyed per seed.  Nothing
-reads them; :func:`database_cache_report` (``repro cache --prune``)
-deletes them.
+A top-level ``<32 hex digits>.npz`` in the cache root is an *orphan* —
+a per-core-count file written before records were keyed per seed.
+Nothing reads them; :func:`database_cache_report` (``repro cache
+--prune``) deletes them and no other file.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import zipfile
 import zlib
 from dataclasses import asdict, is_dataclass
@@ -38,7 +39,6 @@ from repro.trace.spec import AppSpec
 from repro.util.diskcache import quarantine_entry
 
 __all__ = [
-    "cache_dir",
     "database_cache_report",
     "database_fingerprint",
     "load_cached_database",
@@ -69,20 +69,21 @@ _ARRAY_FIELDS = (
 _SCALAR_FIELDS = ("n_instructions", "branch_cycles", "llc_accesses")
 
 
-def cache_dir() -> Path:
-    """Cache root (override with ``REPRO_CACHE_DIR``)."""
-    return Settings.from_env().cache_dir
+_RECORDS_NAME = re.compile(r"records-[0-9a-f]{32}\.npz")
+_ORPHAN_NAME = re.compile(r"[0-9a-f]{32}\.npz")
 
 
 def database_cache_report(prune: bool = False) -> Dict[str, float]:
     """Records-file count plus the orphans' count and MiB.
 
     With ``prune`` the orphans are deleted and the counts are of what was
-    removed; records and sub-directories (``native/``, ``quarantine/``)
-    are never touched.
+    removed.  Only the two known name shapes are counted; any other file
+    (a save's temporary, a user's own ``.npz``) and the sub-directories
+    (``native/``, ``quarantine/``) are never touched.
     """
-    files = sorted(f for f in cache_dir().glob("*.npz") if f.is_file())
-    orphans = [f for f in files if not f.name.startswith("records-")]
+    files = [f for f in Settings.from_env().cache_dir.glob("*.npz") if f.is_file()]
+    records = [f for f in files if _RECORDS_NAME.fullmatch(f.name)]
+    orphans = sorted(f for f in files if _ORPHAN_NAME.fullmatch(f.name))
     count = size = 0
     for file in orphans:
         try:
@@ -94,7 +95,7 @@ def database_cache_report(prune: bool = False) -> Dict[str, float]:
         count += 1
         size += nbytes
     return {
-        "records": len(files) - len(orphans),
+        "records": len(records),
         "orphans": count,
         "orphan_mb": size / (1024 * 1024),
     }
@@ -157,18 +158,19 @@ def records_fingerprint(
 
 
 def _records_file(suite: Sequence[AppSpec], system: SystemConfig, seed: int) -> Path:
-    return cache_dir() / f"records-{records_fingerprint(suite, system, seed)}.npz"
+    key = records_fingerprint(suite, system, seed)
+    return Settings.from_env().cache_dir / f"records-{key}.npz"
 
 
 def save_database_cache(db, suite: Sequence[AppSpec], seed: int) -> Optional[Path]:
     """Persist all records of a database; returns the file path or None."""
     if Settings.from_env().no_cache:
         return None
+    file = _records_file(suite, db.system, seed)
     try:
-        cache_dir().mkdir(parents=True, exist_ok=True)
+        file.parent.mkdir(parents=True, exist_ok=True)
     except OSError:
         return None
-    file = _records_file(suite, db.system, seed)
     payload = {}
     meta = {}
     for app, records in db.records.items():
@@ -241,7 +243,7 @@ def load_cached_database(
         KeyError,
         ValueError,  # includes json.JSONDecodeError
     ):
-        quarantine_entry(file, cache_dir())
+        quarantine_entry(file, file.parent)
         return None
     except OSError:
         return None

@@ -145,20 +145,33 @@ class TestBuilder:
             assert np.array_equal(a.mem_energy_curve, b.mem_energy_curve)
 
     def test_worker_resolution(self, system2, monkeypatch):
+        from repro.database import builder
         from repro.database.builder import resolve_build_workers
-        from repro.settings import Settings
 
         # explicit argument wins; clamped to the task count
         assert resolve_build_workers(3, 10, system2) == 3
         assert resolve_build_workers(16, 2, system2) == 2
-        # environment fallback, through the settings
-        monkeypatch.setenv("REPRO_BUILD_WORKERS", "5")
-        assert Settings.from_env().build_workers == 5
-        assert resolve_build_workers(5, 10, system2) == 5
         # auto: small (test-scale) builds stay serial
-        monkeypatch.delenv("REPRO_BUILD_WORKERS")
-        assert Settings.from_env().build_workers is None
         assert resolve_build_workers(None, 5, system2) == 1
+
+        # REPRO_BUILD_WORKERS reaches the build's worker choice when no
+        # count is passed (pool and fabric workers rely on =1 to stop
+        # nested build pools); an explicit count still wins.
+        seen = []
+
+        def record(requested, n_tasks, system):
+            seen.append(requested)
+            return 1
+
+        monkeypatch.setattr(builder, "resolve_build_workers", record)
+        monkeypatch.setenv("REPRO_BUILD_WORKERS", "5")
+        build_database(mini_suite(), system2, seed=7, use_cache=False)
+        build_database(
+            mini_suite(), system2, seed=7, use_cache=False, n_workers=2
+        )
+        monkeypatch.delenv("REPRO_BUILD_WORKERS")
+        build_database(mini_suite(), system2, seed=7, use_cache=False)
+        assert seen == [5, 2, None]
 
 
 class TestStore:
@@ -219,7 +232,8 @@ class TestStore:
     ):
         """Per-core files from before records were keyed per seed are
         orphans: ``repro cache`` counts them, ``--prune`` deletes them and
-        nothing else (records, quarantine)."""
+        nothing else (records, quarantine, a save's temporary, a user's
+        own ``.npz``)."""
         from repro.cli import main
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -233,6 +247,13 @@ class TestStore:
         quarantined = tmp_path / "quarantine" / f"{'c' * 32}.npz"
         quarantined.parent.mkdir()
         quarantined.write_bytes(b"x")
+        # neither a records file nor an orphan: never counted or deleted
+        bystanders = [
+            tmp_path / "user-data.npz",
+            tmp_path / f"records-{'d' * 32}.tmp12345.npz",
+        ]
+        for bystander in bystanders:
+            bystander.write_bytes(b"x")
 
         assert main(["cache"]) == 0
         out = capsys.readouterr().out
@@ -242,6 +263,7 @@ class TestStore:
         out = capsys.readouterr().out
         assert "1 records files, 2 orphaned files (2.0 MiB) removed" in out
         assert records.exists() and quarantined.exists()
+        assert all(bystander.exists() for bystander in bystanders)
         assert not any(orphan.exists() for orphan in orphans)
 
     @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from repro.core.global_opt import ReductionTree, partition_ways
 from repro.core.local_cache import (
     LocalOptMemo,
     PersistentLocalMemo,
-    local_memo_dir,
     local_memo_key,
     local_memo_scope,
     local_memo_stats,
@@ -38,6 +37,7 @@ from repro.core.managers import IdleRM, make_rm
 from repro.core.energy_model import OnlineEnergyModel
 from repro.core.perf_models import Model1, Model3, ModelInputs, PerfectModel
 from repro.power.model import PowerModel
+from repro.settings import Settings
 from repro.simulator.events import next_boundary_arrays, next_boundary_wave
 from repro.simulator.rmsim import WAVE_MODES, MulticoreRMSimulator
 
@@ -705,7 +705,7 @@ class TestPersistentMemo:
     def test_persistent_memo_for_env_gate(self, mini_db, monkeypatch):
         monkeypatch.delenv("REPRO_LOCAL_MEMO", raising=False)
         assert persistent_memo_for(mini_db, "Model3", "w+f+c") is None
-        assert local_memo_dir() is None
+        assert Settings.from_env().local_memo is None
 
     def test_cap_env_validation(self, monkeypatch):
         monkeypatch.setenv("REPRO_LOCAL_MEMO_MAX_MB", "not-a-number")
